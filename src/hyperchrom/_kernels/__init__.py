@@ -1,16 +1,17 @@
 """Kernel backend selection and hypergraph encoding for the kernels.
 
+The kernels are the brute-force counters and the one-extra-color scan.
 Two backends compute identical results:
 
 * ``numba``: the loop kernels from ``loops.py`` wrapped with ``@njit``,
-  the fast path, default whenever numba imports.
-* ``numpy``: vectorized implementations for the counting/scanning kernels
-  and the plain un-jitted loops for the subset-DFS census kernels.
+  default whenever numba imports.
+* ``numpy``: the vectorized implementations from ``vectorized.py``; no
+  loop kernel runs on this backend.
 
 The env var HYPERCHROM_KERNELS (``numba`` or ``numpy``) picks the default
-at import; ``set_backend`` switches at run time (used by tests and the
-benchmark).  All kernel inputs are int64 numpy arrays produced by the
-encoders below; callers keep masks within 62 bits and counts below 2^63.
+at import; ``set_backend`` switches at run time (used by the tests).  All
+kernel inputs are int64 numpy arrays produced by the encoders below, which
+refuse invalid instances; callers keep counts below 2^63.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import numpy as np
 
 from ..errors import InputError
+from ..hypercore import require_valid
 from . import loops, vectorized
 
 try:
@@ -35,8 +37,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "set_backend",
-    "nb_signed_c_counts",
-    "nb_even_c_counts_per_edge",
     "count_proper_colorings",
     "count_list_colorings",
     "batch_min_list_colorings",
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 _KERNEL_NAMES = (
-    "nb_signed_c_counts",
-    "nb_even_c_counts_per_edge",
     "count_proper_colorings",
     "count_list_colorings",
     "batch_min_list_colorings",
@@ -59,10 +57,7 @@ _IMPLS: dict[str, dict] = {}
 
 
 def _numpy_impls() -> dict:
-    impls = {name: getattr(loops, name) for name in _KERNEL_NAMES}
-    for name in vectorized.__all__:
-        impls[name] = getattr(vectorized, name)
-    return impls
+    return {name: getattr(vectorized, name) for name in _KERNEL_NAMES}
 
 
 def _numba_impls() -> dict:
@@ -111,14 +106,6 @@ def _dispatch(name: str):
     return _impls_for(_ACTIVE)[name]
 
 
-def nb_signed_c_counts(*args):
-    return _dispatch("nb_signed_c_counts")(*args)
-
-
-def nb_even_c_counts_per_edge(*args):
-    return _dispatch("nb_even_c_counts_per_edge")(*args)
-
-
 def count_proper_colorings(*args):
     return _dispatch("count_proper_colorings")(*args)
 
@@ -143,6 +130,7 @@ def edges_csr(H) -> tuple[np.ndarray, np.ndarray]:
     """Edges in label order as CSR (vertices 0-based)."""
     key = "kern_edges_csr"
     if key not in H._cache:
+        require_valid(H)
         flat = []
         offsets = [0]
         for edge in H.edges:
@@ -164,6 +152,7 @@ def edges_by_last_csr(H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     key = "kern_edges_by_last"
     if key not in H._cache:
+        require_valid(H)
         order = sorted(range(H.m), key=lambda i: (H.edges[i][-1], i))
         flat = []
         offsets = [0]

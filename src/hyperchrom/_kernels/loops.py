@@ -2,14 +2,12 @@
 
 Every function here is written against numpy arrays and scalar ints/floats
 only, with no calls into other python functions, so the numba backend can
-wrap each one with @njit unchanged.  Run un-jitted they are the slow path;
-the numpy backend substitutes vectorized counterparts where those exist
-(counting and scanning kernels) and falls back to these for the subset-DFS
-enumerations, which do not vectorize.
+wrap each one with @njit unchanged.  The numpy backend runs none of them:
+it substitutes the vectorized counterparts in ``vectorized.py``.  The walk
+over NB(H) is not a kernel; it runs on Python ints in ``cycles.py``.
 
-Width contract: callers guarantee ``m <= 62`` wherever edge-subset bitmasks
-appear and keep every count below 2^63 (the budget caps do this), so int64
-never overflows.
+Width contract: callers keep every count below 2^63 (the budget caps do
+this), so int64 never overflows.
 """
 
 from __future__ import annotations
@@ -17,173 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "nb_signed_c_counts",
-    "nb_even_c_counts_per_edge",
     "count_proper_colorings",
     "count_list_colorings",
     "batch_min_list_colorings",
     "omit_pattern_scan",
 ]
-
-
-def nb_signed_c_counts(n, m, edge_vertices, edge_offsets, broken_masks, broken_offsets):
-    """Signed census of NB(H) binned by component count.
-
-    out[c] = sum over A in NB(H) with c(A) = c of (-1)^|A|.  Depth-first walk
-    adding edges in increasing index order; a step to subset A+{j} is taken
-    only when no broken set with maximum edge j fits inside it, which visits
-    exactly NB(H).  Components are maintained by a rollback union-find
-    (union by size, no path compression).
-    """
-    out = np.zeros(n + 1, dtype=np.int64)
-    out[n] += 1  # empty subset
-    if m == 0 or n == 0:
-        return out
-    parent = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    log_child = np.zeros(n, dtype=np.int64)
-    stack_edge = np.zeros(m, dtype=np.int64)
-    stack_log = np.zeros(m, dtype=np.int64)
-    stack_comp = np.zeros(m, dtype=np.int64)
-    one = np.int64(1)
-    depth = 0
-    comp = n
-    mask = np.int64(0)
-    log_ptr = 0
-    j = 0
-    while True:
-        if j < m:
-            new_mask = mask | (one << j)
-            blocked = False
-            for bi in range(broken_offsets[j], broken_offsets[j + 1]):
-                if broken_masks[bi] & ~new_mask == 0:
-                    blocked = True
-                    break
-            if blocked:
-                j += 1
-                continue
-            stack_edge[depth] = j
-            stack_log[depth] = log_ptr
-            stack_comp[depth] = comp
-            base = edge_offsets[j]
-            first = edge_vertices[base]
-            for t in range(base + 1, edge_offsets[j + 1]):
-                ra = first
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                rb = edge_vertices[t]
-                while parent[rb] != rb:
-                    rb = parent[rb]
-                if ra != rb:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    size[ra] += size[rb]
-                    log_child[log_ptr] = rb
-                    log_ptr += 1
-                    comp -= 1
-            mask = new_mask
-            depth += 1
-            if depth % 2 == 0:
-                out[comp] += 1
-            else:
-                out[comp] -= 1
-            j += 1
-        else:
-            if depth == 0:
-                break
-            depth -= 1
-            jj = stack_edge[depth]
-            target = stack_log[depth]
-            while log_ptr > target:
-                log_ptr -= 1
-                child = log_child[log_ptr]
-                pr = parent[child]
-                parent[child] = child
-                size[pr] -= size[child]
-            comp = stack_comp[depth]
-            mask = mask & ~(one << jj)
-            j = jj + 1
-    return out
-
-
-def nb_even_c_counts_per_edge(
-    n, m, edge_vertices, edge_offsets, broken_masks, broken_offsets
-):
-    """Per-edge census of even-size NB members binned by component count.
-
-    out[e, c] = number of A in NB(H) with e in A, |A| even, c(A) = c.
-    Same walk as nb_signed_c_counts.
-    """
-    out = np.zeros((m if m > 0 else 1, n + 1), dtype=np.int64)
-    if m == 0 or n == 0:
-        return out
-    parent = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    log_child = np.zeros(n, dtype=np.int64)
-    stack_edge = np.zeros(m, dtype=np.int64)
-    stack_log = np.zeros(m, dtype=np.int64)
-    stack_comp = np.zeros(m, dtype=np.int64)
-    one = np.int64(1)
-    depth = 0
-    comp = n
-    mask = np.int64(0)
-    log_ptr = 0
-    j = 0
-    while True:
-        if j < m:
-            new_mask = mask | (one << j)
-            blocked = False
-            for bi in range(broken_offsets[j], broken_offsets[j + 1]):
-                if broken_masks[bi] & ~new_mask == 0:
-                    blocked = True
-                    break
-            if blocked:
-                j += 1
-                continue
-            stack_edge[depth] = j
-            stack_log[depth] = log_ptr
-            stack_comp[depth] = comp
-            base = edge_offsets[j]
-            first = edge_vertices[base]
-            for t in range(base + 1, edge_offsets[j + 1]):
-                ra = first
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                rb = edge_vertices[t]
-                while parent[rb] != rb:
-                    rb = parent[rb]
-                if ra != rb:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    size[ra] += size[rb]
-                    log_child[log_ptr] = rb
-                    log_ptr += 1
-                    comp -= 1
-            mask = new_mask
-            depth += 1
-            if depth % 2 == 0:
-                for e in range(m):
-                    if mask >> e & 1:
-                        out[e, comp] += 1
-            j += 1
-        else:
-            if depth == 0:
-                break
-            depth -= 1
-            jj = stack_edge[depth]
-            target = stack_log[depth]
-            while log_ptr > target:
-                log_ptr -= 1
-                child = log_child[log_ptr]
-                pr = parent[child]
-                parent[child] = child
-                size[pr] -= size[child]
-            comp = stack_comp[depth]
-            mask = mask & ~(one << jj)
-            j = jj + 1
-    return out
 
 
 def count_proper_colorings(n, k, ce_vertices, ce_offsets, ce_starts):

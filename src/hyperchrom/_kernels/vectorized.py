@@ -2,8 +2,7 @@
 
 Same signatures and results as the loop kernels; work is done on chunked
 index ranges instead of an odometer, trading the early-cutoff pruning for
-numpy throughput.  The subset-DFS enumerations (NB census kernels) have no
-vectorized counterpart; the numpy backend runs those as plain loops.
+numpy throughput.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ from mpmath import mp, mpf
 
 from . import _kernels, budget, hypercore
 from .chromatic import chromatic_polynomial
-from .cycles import DeltaCycleCatalog, nb_subsets
+from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk, normalize_eta
 from .errors import InputError
-from .hypercore import DisjointSet, Hypergraph
+from .hypercore import Hypergraph
 from .listcolor import ListAssignment, alpha, list_color_function_exact
 
 __all__ = [
@@ -161,24 +161,39 @@ def prop1_rhs(
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     profile = alpha(H, L)
     k = L.k
-    if catalog is None:
-        from .cycles import enumerate_delta_cycles
-
-        catalog = enumerate_delta_cycles(H)
-    ev, eo = _kernels.edges_csr(H)
-    bm, bo = _kernels.broken_csr(catalog, eta)
-    counts = _kernels.nb_even_c_counts_per_edge(H.n, H.m, ev, eo, bm, bo)
+    weights = _even_weights(_even_edge_table(_catalog_for(H, catalog), eta), k)
     big_k = k ** (H.n - r)
-    total = 0
-    for e in range(H.m):
-        if profile.per_edge[e] == 0:
-            continue
-        s = 0
-        for c in range(1, H.n + 1):
-            if counts[e, c]:
-                s += int(counts[e, c]) * k ** (c - 1)
-        total += profile.per_edge[e] * (big_k - s)
-    return total
+    return sum(a * (big_k - w) for a, w in zip(profile.per_edge, weights) if a)
+
+
+def _add_even(table: list[list[int]], mask: int, comps: int) -> None:
+    """Count one even-size NB member with ``comps`` components under each of its edges."""
+    while mask:
+        low = mask & -mask
+        table[low.bit_length() - 1][comps] += 1
+        mask ^= low
+
+
+def _even_edge_table(catalog: DeltaCycleCatalog, eta) -> list[list[int]]:
+    """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
+
+    It does not depend on any list assignment, so it is cached on the
+    catalog per edge labelling, next to the broken family it comes from.
+    """
+    H = catalog.H
+    key = ("even", normalize_eta(H, eta))
+    if key not in catalog._broken_cache:
+        table = [[0] * (H.n + 1) for _ in range(H.m)]
+        for mask, size, comps, _parent in _nb_walk(catalog, eta):
+            if not size & 1:
+                _add_even(table, mask, comps)
+        catalog._broken_cache[key] = table
+    return catalog._broken_cache[key]
+
+
+def _even_weights(table: list[list[int]], k: int) -> list[int]:
+    """Per edge, the sum of k^(c(A)-1) over the even-size members A holding it."""
+    return [sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in table]
 
 
 def _check_mrk(m: int, k: int, lo_m: int = 2) -> int:
@@ -707,6 +722,44 @@ def _fraction_parts(frac: Fraction | None) -> tuple[int, int]:
     return num, den
 
 
+def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
+    """What the assignment scan needs from NB(H), drawn from one walk.
+
+    Returns, as int64 arrays, the sign (-1)^|A| of every member A, its
+    component label per vertex (numbered by first appearance in vertex
+    order) and its component count; then P(H, k) as an int, and per edge
+    the sum of k^(c(A)-1) over the even-size members A holding it.
+    """
+    H = catalog.H
+    signs: list[int] = []
+    labels: list[list[int]] = []
+    ncomps: list[int] = []
+    p_k = 0
+    table = [[0] * (H.n + 1) for _ in range(H.m)]
+    for mask, size, comps, parent in _nb_walk(catalog, eta):
+        sign = -1 if size & 1 else 1
+        roots: dict[int, int] = {}
+        row = []
+        for v in range(H.n):
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            row.append(roots.setdefault(root, len(roots)))
+        signs.append(sign)
+        labels.append(row)
+        ncomps.append(comps)
+        p_k += sign * k**comps
+        if sign > 0:
+            _add_even(table, mask, comps)
+    return (
+        np.array(signs, dtype=np.int64),
+        np.array(labels, dtype=np.int64).reshape(len(labels), H.n),
+        np.array(ncomps, dtype=np.int64),
+        p_k,
+        np.array(_even_weights(table, k), dtype=np.int64),
+    )
+
+
 def scan_assignments_one_extra_color(
     H: Hypergraph,
     k: int,
@@ -748,32 +801,8 @@ def scan_assignments_one_extra_color(
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
-    members = list(nb_subsets(H, eta=eta, catalog=catalog))
-    nb_signs = np.array([-1 if A.size % 2 else 1 for A in members], dtype=np.int64)
-    nb_comp_labels = np.zeros((len(members), H.n), dtype=np.int64)
-    nb_ncomps = np.zeros(len(members), dtype=np.int64)
-    even_with_edge: list[list[int]] = [[] for _ in range(H.m)]
-    for ai, A in enumerate(members):
-        dsu = DisjointSet(H.n)
-        for lab in A.labels:
-            edge = H.edges[lab - 1]
-            for v in edge[1:]:
-                dsu.union(edge[0] - 1, v - 1)
-        root_ids: dict[int, int] = {}
-        for v in range(H.n):
-            root = dsu.find(v)
-            if root not in root_ids:
-                root_ids[root] = len(root_ids)
-            nb_comp_labels[ai, v] = root_ids[root]
-        nb_ncomps[ai] = len(root_ids)
-        if A.size and A.size % 2 == 0:
-            for lab in A.labels:
-                even_with_edge[lab - 1].append(len(root_ids))
-    p_k = chromatic_polynomial(H, eta=eta, catalog=catalog).eval(k)
+    signs, labels, ncomps, p_k, prop_s = _member_table(_catalog_for(H, catalog), eta, k)
     big_k = k ** (H.n - r)
-    prop_s = np.array(
-        [sum(k ** (c - 1) for c in cs) for cs in even_with_edge], dtype=np.int64
-    )
 
     u_frac = l_frac = None
     if H.m >= 2:
@@ -788,9 +817,9 @@ def scan_assignments_one_extra_color(
     checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
         H.n,
         k + 1,
-        nb_signs,
-        nb_comp_labels,
-        nb_ncomps,
+        signs,
+        labels,
+        ncomps,
         ev,
         eo,
         H.m,

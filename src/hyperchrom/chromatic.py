@@ -13,7 +13,7 @@ oracle the expansion is checked against.
 from __future__ import annotations
 
 from . import _kernels, budget
-from .cycles import DeltaCycleCatalog, enumerate_delta_cycles
+from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk
 from .errors import InputError
 from .hypercore import Hypergraph
 
@@ -22,10 +22,6 @@ __all__ = [
     "chromatic_polynomial",
     "count_proper_colorings",
 ]
-
-# Edge subsets are bitmasks in the counting kernels.
-_MAX_MASK_EDGES = 62
-
 
 class IntPolynomial:
     """Integer polynomial in one variable, stored sparsely.
@@ -119,17 +115,13 @@ def chromatic_polynomial(
         IntPolynomial p with p.eval(k) == count_proper_colorings(H, k)
         for every k >= 0.
     """
-    if H.m > _MAX_MASK_EDGES:
-        raise InputError(f"edge count {H.m} exceeds bitmask width {_MAX_MASK_EDGES}")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
-    if catalog is None:
-        catalog = enumerate_delta_cycles(H)
-    elif catalog.H is not H:
-        raise InputError("catalog was built for a different hypergraph")
-    ev, eo = _kernels.edges_csr(H)
-    bm, bo = _kernels.broken_csr(catalog, eta)
-    counts = _kernels.nb_signed_c_counts(H.n, H.m, ev, eo, bm, bo)
-    return IntPolynomial({c: int(counts[c]) for c in range(H.n + 1) if counts[c]})
+    # members counted by component count, even sizes in row 0 and odd in row 1
+    counts = [[0] * (H.n + 1), [0] * (H.n + 1)]
+    for _mask, size, comps, _parent in _nb_walk(_catalog_for(H, catalog), eta):
+        counts[size & 1][comps] += 1
+    even, odd = counts
+    return IntPolynomial({c: even[c] - odd[c] for c in range(H.n + 1)})
 
 
 def count_proper_colorings(H: Hypergraph, k: int) -> int:
@@ -140,10 +132,10 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     """
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
+    ce_vertices, ce_offsets, ce_starts = _kernels.edges_by_last_csr(H)
     if H.n == 0:
         return 1
     if k == 0:
         return 0
     budget.check_cap("brute_force", k**H.n, "proper-coloring enumeration")
-    ce_vertices, ce_offsets, ce_starts = _kernels.edges_by_last_csr(H)
     return int(_kernels.count_proper_colorings(H.n, k, ce_vertices, ce_offsets, ce_starts))

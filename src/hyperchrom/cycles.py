@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import budget
 from .errors import InputError
-from .hypercore import EdgeSubset, Hypergraph
+from .hypercore import EdgeSubset, Hypergraph, require_valid
 
 __all__ = [
     "DeltaCycleCatalog",
@@ -129,6 +129,7 @@ def enumerate_delta_cycles(
     delta-cycle is skipped, so the covering condition alone settles the rest
     (minimality holds by construction).  Results are cached on the hypergraph.
     """
+    require_valid(H)
     m = H.m
     budget.check_cap("nb_edges", m, "delta-cycle enumeration")
     limit = m if max_edges is None else min(max_edges, m)
@@ -171,6 +172,86 @@ def broken_by_max_edge(broken_masks: Iterable[int], m: int) -> list[list[int]]:
     return groups
 
 
+def _catalog_for(H: Hypergraph, catalog: DeltaCycleCatalog | None) -> DeltaCycleCatalog:
+    """The catalog to use for H: the one given, or H's full cached catalog."""
+    if catalog is None:
+        return enumerate_delta_cycles(H)
+    if catalog.H is not H:
+        raise InputError("catalog was built for a different hypergraph")
+    return catalog
+
+
+def _nb_walk(
+    catalog: DeltaCycleCatalog, eta: Sequence[int] | None = None, max_size: int | None = None
+) -> Iterator[tuple[int, int, int, list[int]]]:
+    """Depth-first walk over NB(H) under eta, in preorder.
+
+    Yields ``(mask, size, components, parent)`` per member, the empty subset
+    first; children add edges in increasing index order.  A step to A+{j} is
+    taken only when no broken set with maximum edge j fits inside it, which
+    visits exactly NB(H).  ``parent`` is the live rollback union-find over the
+    0-based vertices (union by size, no path compression): following it from
+    a vertex to a fixed point gives its component root.  It is valid only
+    until the next step.  ``max_size`` stops the descent at that many edges.
+    """
+    H = catalog.H
+    require_valid(H)
+    key = ("groups", normalize_eta(H, eta))
+    if key not in catalog._broken_cache:
+        masks = [b.mask for b in catalog.broken_family(eta)]
+        catalog._broken_cache[key] = broken_by_max_edge(masks, H.m)
+    edges = [[v - 1 for v in edge] for edge in H.edges]
+    limit = H.m if max_size is None else max_size
+    return _walk(H.n, edges, catalog._broken_cache[key], limit)
+
+
+def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int):
+    m = len(edges)
+    parent = list(range(n))
+    weight = [1] * n
+    merged: list[int] = []  # roots hung under another root, in merge order
+    stack: list[tuple[int, int, int]] = []  # (edge added, len(merged), components)
+    mask, size, comps, j = 0, 0, n, 0
+    yield mask, size, comps, parent
+    while True:
+        if j < m and size < limit:
+            new_mask = mask | 1 << j
+            for bmask in groups[j]:
+                if bmask & ~new_mask == 0:
+                    break
+            else:
+                stack.append((j, len(merged), comps))
+                vs = edges[j]
+                ra = vs[0]
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                for rb in vs[1:]:
+                    while parent[rb] != rb:
+                        rb = parent[rb]
+                    if ra != rb:
+                        if weight[ra] < weight[rb]:
+                            ra, rb = rb, ra
+                        parent[rb] = ra
+                        weight[ra] += weight[rb]
+                        merged.append(rb)
+                        comps -= 1
+                mask = new_mask
+                size += 1
+                yield mask, size, comps, parent
+            j += 1
+        elif stack:
+            j, mark, comps = stack.pop()
+            while len(merged) > mark:
+                child = merged.pop()
+                weight[parent[child]] -= weight[child]
+                parent[child] = child
+            mask ^= 1 << j
+            size -= 1
+            j += 1
+        else:
+            return
+
+
 def nb_subsets(
     H: Hypergraph,
     eta: Sequence[int] | None = None,
@@ -188,37 +269,10 @@ def nb_subsets(
     m = H.m
     if must_contain is not None and not 1 <= must_contain <= m:
         raise InputError(f"must_contain label {must_contain} outside 1..{m}")
-    if catalog is None:
-        catalog = enumerate_delta_cycles(H)
-    elif catalog.H is not H:
-        raise InputError("catalog was built for a different hypergraph")
-    broken = [b.mask for b in catalog.broken_family(eta)]
-    groups = broken_by_max_edge(broken, m)
-    want_bit = 0 if must_contain is None else 1 << (must_contain - 1)
-
-    def emit_ok(mask: int, count: int) -> bool:
-        if want_bit and not mask & want_bit:
-            return False
-        if size is not None and count != size:
-            return False
-        return True
-
-    def walk(mask: int, count: int, next_edge: int) -> Iterator[EdgeSubset]:
-        if emit_ok(mask, count):
-            yield EdgeSubset.from_mask(m, mask)
-        if size is not None and count >= size:
-            return
-        for j in range(next_edge, m):
-            # once the walk has passed the required edge, no descendant has it
-            if want_bit and not mask & want_bit and (1 << (must_contain - 1)) < (1 << j):
-                return
-            new_mask = mask | (1 << j)
-            blocked = False
-            for bmask in groups[j]:
-                if bmask & ~new_mask == 0:
-                    blocked = True
-                    break
-            if not blocked:
-                yield from walk(new_mask, count + 1, j + 1)
-
-    return walk(0, 0, 0)
+    want = 0 if must_contain is None else 1 << (must_contain - 1)
+    walk = _nb_walk(_catalog_for(H, catalog), eta, max_size=size)
+    return (
+        EdgeSubset.from_mask(m, mask)
+        for mask, count, _comps, _parent in walk
+        if mask & want == want and (size is None or count == size)
+    )

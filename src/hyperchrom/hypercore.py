@@ -233,8 +233,27 @@ def validate(H: Hypergraph) -> list[str]:
     """Return every invariant violation; an empty list means the instance is ok.
 
     Checked: edge size >= 2, vertices inside 1..n, no duplicate edges, and no
-    edge contained in another.  Violations are data, not exceptions.
+    edge contained in another.  Violations are data, not exceptions.  The
+    verdict is computed once per instance and cached on it.
     """
+    if "violations" not in H._cache:
+        H._cache["violations"] = _violations(H)
+    return list(H._cache["violations"])
+
+
+def require_valid(H: Hypergraph) -> None:
+    """Refuse an instance that breaks an invariant, naming the first violation.
+
+    The computational entry points call this before they index anything by
+    vertex, so an invalid instance gets an InputError rather than a wrong
+    count or a raw IndexError.
+    """
+    violations = validate(H)
+    if violations:
+        raise InputError(f"invalid hypergraph: {violations[0]}")
+
+
+def _violations(H: Hypergraph) -> list[str]:
     violations = []
     seen: dict[tuple, int] = {}
     in_range = True

@@ -280,9 +280,9 @@ def list_color_function_exact(
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
+    ce = _kernels.edges_by_last_csr(H)
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
-    ce = _kernels.edges_by_last_csr(H)
     best = -1
     best_lists: tuple[tuple[int, ...], ...] | None = None
     batch: list[tuple[tuple[int, ...], ...]] = []

@@ -2,13 +2,18 @@
 
 import pytest
 
+from hyperchrom import hypercore
 from hyperchrom import (
     DisjointSet,
     EdgeSubset,
     Hypergraph,
     InputError,
+    ListAssignment,
     UndefinedStatisticError,
+    chromatic_polynomial,
     components,
+    count_L_colorings,
+    count_proper_colorings,
     gamma,
     is_linear,
     rho,
@@ -113,6 +118,45 @@ class TestValidate:
         assert any("duplicates" in v for v in msgs)
         msgs = validate(Hypergraph(4, [(1, 2), (1, 2, 3)]))
         assert any("edge 1 is contained in edge 2" in v for v in msgs)
+
+
+class TestRefuseInvalid:
+    """The computational entry points refuse what validate reports."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1)], [(1, 5)], [(1,), (2, 3)]],
+        ids=["vertex-zero", "vertex-above-n", "singleton-edge"],
+    )
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda H: count_proper_colorings(H, 2),
+            lambda H: count_L_colorings(H, ListAssignment.from_constant(H.n, 2)),
+            lambda H: chromatic_polynomial(H),
+        ],
+        ids=["proper", "list", "polynomial"],
+    )
+    def test_refused(self, edges, compute):
+        H = Hypergraph(3, edges)
+        with pytest.raises(InputError, match="invalid hypergraph"):
+            compute(H)
+
+    def test_early_answers_refused_too(self):
+        with pytest.raises(InputError):
+            count_proper_colorings(Hypergraph(0, [(1, 2)]), 3)
+        with pytest.raises(InputError):
+            count_proper_colorings(Hypergraph(3, [(1,)]), 0)
+
+    def test_verdict_computed_once(self, monkeypatch, e2):
+        calls = []
+        real = hypercore._violations
+        monkeypatch.setattr(hypercore, "_violations", lambda H: calls.append(H) or real(H))
+        H = Hypergraph(e2.n, e2.edges)
+        assert validate(H) == []
+        assert count_proper_colorings(H, 2) == 18
+        assert chromatic_polynomial(H).eval(2) == 18
+        assert len(calls) == 1
 
 
 class TestComponents:
