@@ -782,7 +782,7 @@ def scan_assignments_one_extra_color(
 
     Returns counts: checked, viol_prop, viol_uniform, viol_linear,
     viol_gap, and min_gap_margin (None when no pattern was checked or no
-    gap was requested).
+    gap was requested).  Refuses k > 62 on nonempty instances.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -798,6 +798,9 @@ def scan_assignments_one_extra_color(
     r = hypercore.uniformity(H)
     if r is None:
         raise InputError("assignment scan needs an r-uniform hypergraph")
+    if k > 62:
+        # a pattern keeps its k + 1 colors as bits of an int64
+        raise InputError(f"assignment scan needs k <= 62, got {k}")
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
@@ -833,12 +836,10 @@ def scan_assignments_one_extra_color(
         float(gap_factor * big_k),
     )
     return {
-        "checked": int(checked),
-        "viol_prop": int(vp),
-        "viol_uniform": int(vu),
-        "viol_linear": int(vl),
-        "viol_gap": int(vg),
-        "min_gap_margin": float(min_margin)
-        if gap_factor > 0 and int(checked) > 0
-        else None,
+        "checked": checked,
+        "viol_prop": vp,
+        "viol_uniform": vu,
+        "viol_linear": vl,
+        "viol_gap": vg,
+        "min_gap_margin": min_margin if gap_factor > 0 and checked > 0 else None,
     }

@@ -132,10 +132,10 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     """
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
-    ce_vertices, ce_offsets, ce_starts = _kernels.edges_by_last_csr(H)
+    ce_vertices, ce_offsets = _kernels.edges_csr(H)
     if H.n == 0:
         return 1
     if k == 0:
         return 0
     budget.check_cap("brute_force", k**H.n, "proper-coloring enumeration")
-    return int(_kernels.count_proper_colorings(H.n, k, ce_vertices, ce_offsets, ce_starts))
+    return _kernels.count_proper_colorings(H.n, k, ce_vertices, ce_offsets)

@@ -63,16 +63,16 @@ def _condition_a(vmasks: Sequence[int], members: Sequence[int]) -> bool:
 
 
 def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
-    """True iff F satisfies the covering condition and no proper subset does."""
+    """True iff F satisfies the covering condition and no proper subset does.
+
+    A proper subset meeting the condition would hold a delta-cycle, so F
+    qualifies exactly when the catalog of its own edges is F alone.
+    """
     members = [lab - 1 for lab in F.labels]
-    vmasks = H.edge_vertex_masks()
-    if not _condition_a(vmasks, members):
+    if not _condition_a(H.edge_vertex_masks(), members):
         return False
-    for s in range(3, len(members)):
-        for sub in combinations(members, s):
-            if _condition_a(vmasks, sub):
-                return False
-    return True
+    own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[j] for j in members]))
+    return [cyc.mask for cyc in own.cycles] == [(1 << len(members)) - 1]
 
 
 class DeltaCycleCatalog:
@@ -172,6 +172,19 @@ def broken_by_max_edge(broken_masks: Iterable[int], m: int) -> list[list[int]]:
     return groups
 
 
+def _inclusion_minimal(masks: list[int]) -> list[int]:
+    """The masks with no other mask inside them; input sorted by size, distinct.
+
+    A subset contains some broken set exactly when it contains a minimal
+    one, so the walk blocks on the minimal sets alone.
+    """
+    kept: list[int] = []
+    for mask in masks:
+        if not any(small & mask == small for small in kept):
+            kept.append(mask)
+    return kept
+
+
 def _catalog_for(H: Hypergraph, catalog: DeltaCycleCatalog | None) -> DeltaCycleCatalog:
     """The catalog to use for H: the one given, or H's full cached catalog."""
     if catalog is None:
@@ -198,7 +211,7 @@ def _nb_walk(
     require_valid(H)
     key = ("groups", normalize_eta(H, eta))
     if key not in catalog._broken_cache:
-        masks = [b.mask for b in catalog.broken_family(eta)]
+        masks = _inclusion_minimal([b.mask for b in catalog.broken_family(eta)])
         catalog._broken_cache[key] = broken_by_max_edge(masks, H.m)
     edges = [[v - 1 for v in edge] for edge in H.edges]
     limit = H.m if max_size is None else max_size

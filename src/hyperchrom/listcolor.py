@@ -187,25 +187,14 @@ def beta(H: Hypergraph, L: ListAssignment, A: EdgeSubset | Iterable[int]) -> int
     return prod
 
 
-def _encode_lists(L: ListAssignment) -> tuple[np.ndarray, np.ndarray]:
-    n, k = L.n, L.k
-    values = np.zeros((max(n, 1), max(k, 1)), dtype=np.int64)
-    sizes = np.full(max(n, 1), k, dtype=np.int64)
-    for v in range(1, n + 1):
-        values[v - 1, :k] = L.lists[v]
-    return values, sizes
-
-
 def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
     """P(H, L) by direct enumeration of all list colorings."""
     _check_match(H, L)
     if H.n > 0:
         budget.check_cap("brute_force", L.k**H.n, "list-coloring enumeration")
-    values, sizes = _encode_lists(L)
-    ce_vertices, ce_offsets, ce_starts = _kernels.edges_by_last_csr(H)
-    return int(
-        _kernels.count_list_colorings(H.n, values, sizes, ce_vertices, ce_offsets, ce_starts)
-    )
+    values = np.array([L.lists[v] for v in range(1, H.n + 1)], dtype=np.int64)
+    ce_vertices, ce_offsets = _kernels.edges_csr(H)
+    return _kernels.count_list_colorings(H.n, values.reshape(H.n, L.k), ce_vertices, ce_offsets)
 
 
 def count_L_colorings_expansion(
@@ -280,7 +269,7 @@ def list_color_function_exact(
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
-    ce = _kernels.edges_by_last_csr(H)
+    ce = _kernels.edges_csr(H)
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
     best = -1
@@ -292,11 +281,10 @@ def list_color_function_exact(
         if not batch:
             return False
         arr = np.array(batch, dtype=np.int64)
-        got, idx = _kernels.batch_min_list_colorings(arr, n, k, *ce, np.int64(0))
-        got = int(got)
+        got, idx = _kernels.batch_min_list_colorings(arr, n, k, *ce, 0)
         if best < 0 or got < best:
             best = got
-            best_lists = batch[int(idx)]
+            best_lists = batch[idx]
         batch.clear()
         return best == 0
 

@@ -1,124 +1,187 @@
-"""Backend parity: both kernel implementations must agree exactly."""
+"""The array kernels against independent oracles.
 
-import os
+Counts come from an ``itertools.product`` walk over all colorings.  The
+assignment scan is recomputed pattern by pattern from public functions:
+each omit pattern becomes a ``ListAssignment``, and its P(H, L), alpha and
+bounds come from the expansion and the exact corollary bounds.
+"""
+
+import itertools
 import random
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 
 from hyperchrom import (
     Hypergraph,
     InputError,
     ListAssignment,
-    available_backends,
+    alpha,
     chromatic_polynomial,
+    components,
+    cor_linear_rhs_exact,
+    cor_uniform_rhs_exact,
     count_L_colorings,
+    count_L_colorings_expansion,
     count_proper_colorings,
     get_backend,
     list_color_function_exact,
+    nb_subsets,
     prop1_rhs,
+    rho,
     scan_assignments_one_extra_color,
-    set_backend,
+    uniformity,
 )
-from hyperchrom._kernels import HAS_NUMBA
+from hyperchrom import _kernels
 from hyperchrom.generators import random_antichain, random_assignment
 
 
-def run_on_all_backends(fn):
-    """Evaluate fn under every available backend; return {backend: result}."""
-    prev = get_backend()
-    results = {}
-    try:
-        for name in available_backends():
-            set_backend(name)
-            results[name] = fn()
-    finally:
-        set_backend(prev)
-    return results
+def oracle_list_count(H, lists):
+    """Colorings picking vertex v's color from lists[v - 1], no edge monochromatic."""
+    count = 0
+    for col in itertools.product(*lists):
+        if all(len({col[v - 1] for v in edge}) > 1 for edge in H.edges):
+            count += 1
+    return count
 
 
-def assert_parity(fn):
-    results = run_on_all_backends(fn)
-    values = list(results.values())
-    assert all(v == values[0] for v in values[1:]), results
+def oracle_proper_count(H, k):
+    return oracle_list_count(H, [range(k)] * H.n)
 
 
-class TestBackendSelection:
-    def test_available_backends(self):
-        names = available_backends()
-        assert "numpy" in names
-        if HAS_NUMBA:
-            assert "numba" in names
+def oracle_batch_min(H, batch):
+    """Smallest count over the batch and the index of its first occurrence."""
+    counts = [oracle_list_count(H, lists) for lists in batch]
+    best = min(counts)
+    return best, counts.index(best)
 
-    def test_set_backend_returns_previous(self):
-        prev = set_backend("numpy")
-        assert get_backend() == "numpy"
-        set_backend(prev)
-        assert get_backend() == prev
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InputError):
-            set_backend("cuda")
+def oracle_scan(H, k, gap_factor=0.0):
+    """scan_assignments_one_extra_color recomputed one omit pattern at a time.
 
-    def test_env_var_selects_default(self):
-        env = dict(os.environ, HYPERCHROM_KERNELS="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", "import hyperchrom; print(hyperchrom.get_backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "numpy"
+    Renaming colors changes none of the numbers a pattern gets, so they are
+    worked out once per pattern up to renaming and reused for the others.
+    """
+    n, m = H.n, H.m
+    universe = range(1, k + 2)
+    p_k = chromatic_polynomial(H).eval(k)
+    big_k = k ** (n - uniformity(H))
+    u = cor_uniform_rhs_exact(m, rho(H), k) if m >= 2 else None
+    lin = cor_linear_rhs_exact(m, uniformity(H), k) if m >= 2 else None
+    gap = float(gap_factor * big_k)
+    out = dict.fromkeys(("checked", "viol_prop", "viol_uniform", "viol_linear", "viol_gap"), 0)
+    margins = []
+    seen = {}
+    for omit in itertools.product(universe, repeat=n):
+        first = {}
+        shape = tuple(first.setdefault(c, len(first)) for c in omit)
+        if shape not in seen:
+            L = ListAssignment(k, {v: set(universe) - {omit[v - 1]} for v in range(1, n + 1)})
+            diff = count_L_colorings_expansion(H, L) - p_k
+            seen[shape] = alpha(H, L).total, diff, prop1_rhs(H, L)
+        a, diff, prop = seen[shape]
+        if a == 0:
+            continue
+        out["checked"] += 1
+        out["viol_prop"] += diff < prop
+        out["viol_uniform"] += u is not None and diff < u * big_k * a
+        out["viol_linear"] += lin is not None and diff < lin * big_k * a
+        if gap_factor > 0:
+            margins.append(diff - gap * a)
+            out["viol_gap"] += margins[-1] <= 0.0
+    out["min_gap_margin"] = min(margins) if margins else None
+    return out
 
-    def test_env_var_garbage_fails_loudly_on_use(self):
-        env = dict(os.environ, HYPERCHROM_KERNELS="garbage")
-        code = (
-            "import hyperchrom\n"
-            "try:\n"
-            "    hyperchrom.count_proper_colorings(hyperchrom.Hypergraph(2, [(1, 2)]), 2)\n"
-            "    print('no error')\n"
-            "except hyperchrom.InputError as exc:\n"
-            "    print('InputError:', exc)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.stdout.startswith("InputError:")
+
+def test_single_backend():
+    assert get_backend() == "numpy"
 
 
 class TestKernelParity:
     def test_expansion_counts(self, tri, e2, f1):
         for H in (tri, e2, f1):
-            assert_parity(lambda H=H: chromatic_polynomial(H).to_pairs())
+            p = chromatic_polynomial(H)
+            assert [p.eval(k) for k in range(4)] == [oracle_proper_count(H, k) for k in range(4)]
 
     def test_proper_coloring_counts(self, e2):
-        assert_parity(lambda: [count_proper_colorings(e2, k) for k in range(5)])
+        assert [count_proper_colorings(e2, k) for k in range(5)] == [
+            oracle_proper_count(e2, k) for k in range(5)
+        ]
 
     def test_list_coloring_counts(self):
         rng = random.Random(3)
-        pairs = []
         for _ in range(15):
             n = rng.randint(3, 6)
             H = random_antichain(n, rng.randint(0, 3), rng)
             L = random_assignment(n, rng.randint(1, 3), 6, rng)
-            pairs.append((H, L))
-        assert_parity(
-            lambda: [count_L_colorings(H, L) for H, L in pairs]
-        )
+            lists = [L.lists[v] for v in range(1, n + 1)]
+            assert count_L_colorings(H, L) == oracle_list_count(H, lists)
 
     def test_exact_minimum_and_witness(self, e1, tri):
-        # identical value and identical first-minimum witness on every backend
         for H in (e1, tri):
-            assert_parity(lambda H=H: list_color_function_exact(H, 2))
+            value, witness = list_color_function_exact(H, 2)
+            # every 2-assignment up to color renaming draws from 2n colors
+            pool = list(itertools.combinations(range(1, 2 * H.n + 1), 2))
+            assert value == min(
+                oracle_list_count(H, lists)
+                for lists in itertools.product(pool, repeat=H.n)
+            )
+            assert oracle_list_count(H, [witness.lists[v] for v in range(1, H.n + 1)]) == value
+
+    def test_batch_minimum_first_witness(self, e2, tri, monkeypatch):
+        # chunks of one or two assignments, so ties also straddle chunks
+        monkeypatch.setattr(_kernels, "_CHUNK", 64)
+        rng = random.Random(11)
+        for H, k in ((e2, 2), (tri, 2), (tri, 3)):
+            for _ in range(10):
+                batch = [
+                    [sorted(rng.sample(range(1, k + 3), k)) for _ in range(H.n)]
+                    for _ in range(rng.randint(1, 12))
+                ]
+                batch += batch[: rng.randint(0, len(batch))]  # ties must keep the first
+                ev, eo = _kernels.edges_csr(H)
+                got = _kernels.batch_min_list_colorings(
+                    np.array(batch, dtype=np.int64), H.n, k, ev, eo, -1
+                )
+                assert got == oracle_batch_min(H, batch)
 
     def test_per_edge_census(self, e2, f1):
-        L = ListAssignment(3, {v: [1, 2, 3] for v in range(1, 6)})
-        assert_parity(lambda: prop1_rhs(e2, L))
-        Lf = ListAssignment(2, {v: [v, v + 1] for v in range(1, 7)})
-        assert_parity(lambda: prop1_rhs(f1, Lf))
+        for H, L in (
+            (e2, ListAssignment(3, {v: [1, 2, 3] for v in range(1, 6)})),
+            (e2, ListAssignment(2, {v: [v % 3 + 1, v % 3 + 2] for v in range(1, 6)})),
+            (f1, ListAssignment(2, {v: [v, v + 1] for v in range(1, 7)})),
+        ):
+            k, big_k = L.k, L.k ** (H.n - uniformity(H))
+            expected = 0
+            for e, a in enumerate(alpha(H, L).per_edge, start=1):
+                even = [A for A in nb_subsets(H, must_contain=e) if A.size % 2 == 0]
+                expected += a * (big_k - sum(k ** (components(H, A) - 1) for A in even))
+            assert prop1_rhs(H, L) == expected
 
-    def test_omit_pattern_scan(self, e2):
-        assert_parity(
-            lambda: scan_assignments_one_extra_color(e2, 2, gap_factor=0.001)
-        )
+    def test_omit_pattern_scan(self, e1, e2, matching2, f1):
+        for H in (e1, e2, matching2, f1):
+            for k in (1, 2, 3):
+                for gap_factor in (0.0, 0.001):
+                    got = scan_assignments_one_extra_color(H, k, gap_factor=gap_factor)
+                    assert got == oracle_scan(H, k, gap_factor), (H.edges, k, gap_factor)
+
+
+def test_chunk_boundaries(e2, monkeypatch):
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    assert [count_proper_colorings(e2, k) for k in range(5)] == [
+        oracle_proper_count(e2, k) for k in range(5)
+    ]
+    L = ListAssignment(2, {v: [v % 3 + 1, v % 3 + 2] for v in range(1, 6)})
+    assert count_L_colorings(e2, L) == oracle_list_count(e2, [L.lists[v] for v in range(1, 6)])
+    assert scan_assignments_one_extra_color(e2, 2, gap_factor=0.001) == oracle_scan(e2, 2, 0.001)
+
+
+class TestScanWidth:
+    def test_large_k_needs_no_popcount_table(self, e1):
+        # k + 1 = 41 colors: a 2^41 lookup table would not fit in memory
+        assert scan_assignments_one_extra_color(e1, 40) == oracle_scan(e1, 40)
+
+    def test_k_beyond_int64_bitmasks_refused(self, e1):
+        with pytest.raises(InputError):
+            scan_assignments_one_extra_color(e1, 63)
+        scan_assignments_one_extra_color(Hypergraph(3, []), 63)
