@@ -6,9 +6,11 @@ into a digit table, and each edge is tested on the whole chunk at once.
 The walk over NB(H) is not a kernel; it runs on Python ints in
 ``cycles.py``.
 
-Kernel inputs are int64 arrays produced by the encoders at the bottom,
-which refuse invalid instances.  Width contract: callers keep every count
-below 2^63 (the budget caps do this), so int64 never overflows.
+Kernels take the hypergraph and read its edges through ``_edges``, which
+refuses an invalid instance once and caches the 0-based vertex tuples.
+Width contract: callers keep every count below 2^63 (the budget caps do
+this), so int64 never overflows.  The CSR encoders at the bottom serve the
+benchmark only; no kernel reads them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .hypercore import require_valid
 
 __all__ = [
     "get_backend",
-    "count_proper_colorings",
-    "count_list_colorings",
-    "batch_min_list_colorings",
+    "coloring_counts",
     "omit_pattern_scan",
     "edges_csr",
     "broken_csr",
@@ -35,21 +35,27 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _digit_table(radices, lo, hi):
+def _edges(H) -> list[tuple[int, ...]]:
+    """H's edges in label order as tuples of 0-based vertices, validated once."""
+    key = "kern_edges"
+    if key not in H._cache:
+        require_valid(H)
+        H._cache[key] = [tuple(v - 1 for v in edge) for edge in H.edges]
+    return H._cache[key]
+
+
+def _digit_table(radices, lo, hi, out=None):
     """Mixed-radix digits of lo..hi-1, vertex-major: digit v varies slowest
-    for v = 0.  Returns int64 array of shape (len(radices), hi - lo)."""
+    for v = 0.  Returns int64 array of shape (len(radices), hi - lo), written
+    into out when given."""
     n = len(radices)
     idx = np.arange(lo, hi, dtype=np.int64)
-    digs = np.empty((n, hi - lo), dtype=np.int64)
+    digs = np.empty((n, hi - lo), dtype=np.int64) if out is None else out
     tmp = idx
     for v in range(n - 1, -1, -1):
         digs[v] = tmp % radices[v]
         tmp = tmp // radices[v]
     return digs
-
-
-def _edge_slices(ce_vertices, ce_offsets):
-    return [ce_vertices[lo:hi] for lo, hi in zip(ce_offsets[:-1], ce_offsets[1:])]
 
 
 def _monochromatic(colors, edges):
@@ -64,80 +70,39 @@ def _monochromatic(colors, edges):
     return bad
 
 
-def count_proper_colorings(n, k, ce_vertices, ce_offsets):
-    """Colorings of n vertices with k colors and no monochromatic edge."""
-    if n == 0:
-        return 1
-    if k <= 0:
-        return 0
-    edges = _edge_slices(ce_vertices, ce_offsets)
-    total = int(k) ** int(n)
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        count += (hi - lo) - int(_monochromatic(_digit_table([k] * n, lo, hi), edges).sum())
-    return count
+def coloring_counts(H, k, values=None):
+    """Proper colorings of H, one count per color assignment.
 
-
-def count_list_colorings(n, list_values, ce_vertices, ce_offsets):
-    """Colorings picking vertex v's color from row v of list_values, (n, k)."""
-    if n == 0:
-        return 1
-    k = list_values.shape[1]
-    edges = _edge_slices(ce_vertices, ce_offsets)
-    total = int(k) ** int(n)
-    count = 0
-    rows = np.arange(n)[:, None]
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        colors = list_values[rows, _digit_table([k] * n, lo, hi)]
-        count += (hi - lo) - int(_monochromatic(colors, edges).sum())
-    return count
-
-
-def batch_min_list_colorings(assign, n, k, ce_vertices, ce_offsets, stop_at):
-    """Smallest list-coloring count over the assignments assign[b], (batch, n, k).
-
-    Returns (count, b) for the first assignment attaining it, or (-1, -1)
-    on an empty batch; stops early once a chunk's minimum is <= stop_at.
+    A coloring picks a digit 0..k-1 per vertex, and under assignment b
+    vertex v gets color values[b, v, digit], with values of shape
+    (batch, n, k).  values None counts the plain k-colorings, the digits
+    being the colors.  Returns int64 counts of shape (batch,), or (1,)
+    when values is None.
     """
-    batch = assign.shape[0]
-    if batch == 0:
-        return -1, -1
-    if n == 0:
-        return 1, 0
-    if k <= 0:
-        return 0, 0
-    edges = _edge_slices(ce_vertices, ce_offsets)
-    total = int(k) ** int(n)
+    edges = _edges(H)
+    n = H.n
+    total = int(k) ** n
+    batch = 1 if values is None else values.shape[0]
+    counts = np.zeros(batch, dtype=np.int64)
     rows = np.arange(n)[:, None]
-    digs = _digit_table([k] * n, 0, total)
-    best = -1
-    best_idx = -1
-    bchunk = max(1, _CHUNK // (n * total))  # colors holds about _CHUNK entries
-    for lo in range(0, batch, bchunk):
-        hi = min(lo + bchunk, batch)
-        colors = assign[lo:hi, rows, digs]
-        counts = total - _monochromatic(colors, edges).sum(axis=1)
-        pos = int(np.argmin(counts))
-        cmin = int(counts[pos])
-        if best < 0 or cmin < best:
-            best = cmin
-            best_idx = lo + pos
-            if best <= stop_at:
-                break
-    return best, best_idx
+    step = max(1, min(total, _CHUNK))  # colorings per step
+    bstep = max(1, _CHUNK // max(1, n * step))  # assignments per step, about _CHUNK colors
+    # one digit table reused by every step; a fresh one per step made the
+    # list path fault its pages in again on every step
+    table = np.empty((n, step), dtype=np.int64)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        digits = _digit_table([k] * n, lo, hi, table[:, : hi - lo])
+        for blo in range(0, batch, bstep):
+            colors = digits if values is None else values[blo : blo + bstep, rows, digits]
+            counts[blo : blo + bstep] += (hi - lo) - _monochromatic(colors, edges).sum(axis=-1)
+    return counts
 
 
 def omit_pattern_scan(
-    n,
+    H,
     num_colors,
-    nb_signs,
-    nb_comp_labels,
-    nb_ncomps,
-    edge_vertices,
-    edge_offsets,
-    m,
+    members,
     p_k,
     prop_big_k,
     prop_s,
@@ -149,18 +114,13 @@ def omit_pattern_scan(
 ):
     """Walk every omit pattern of a num_colors universe; count bound violations.
 
-    Digit v of a pattern is the color vertex v omits, kept as the bit
-    1 << digit, so num_colors must stay at most 63.  Returns (checked,
+    members lists (sign, component vertex lists) per NB(H) member, vertices
+    0-based.  Digit v of a pattern is the color vertex v omits, kept as the
+    bit 1 << digit, so num_colors must stay at most 63.  Returns (checked,
     viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
-    edges = _edge_slices(edge_vertices, edge_offsets)
-    nb_count = nb_signs.shape[0]
-    comp_vertex_lists = []
-    for a in range(nb_count):
-        comps = []
-        for c in range(int(nb_ncomps[a])):
-            comps.append(np.nonzero(nb_comp_labels[a] == c)[0])
-        comp_vertex_lists.append(comps)
+    edges = _edges(H)
+    n, m = H.n, len(edges)
     total = int(num_colors) ** int(n)
     checked = 0
     viol_prop = 0
@@ -184,15 +144,15 @@ def omit_pattern_scan(
         if not sel.any():
             continue
         p_l = np.zeros(cnt, dtype=np.int64)
-        for a in range(nb_count):
+        for sign, comps in members:
             prod = np.ones(cnt, dtype=np.int64)
-            for vlist in comp_vertex_lists[a]:
+            for vlist in comps:
                 om = bm[vlist[0]].copy()
                 for u in vlist[1:]:
                     om |= bm[u]
                 # uint8 counts: num_colors <= 63 keeps the difference in range
                 prod *= num_colors - np.bitwise_count(om)
-            p_l += int(nb_signs[a]) * prod
+            p_l += sign * prod
         diff = p_l - p_k
         rhs = np.zeros(cnt, dtype=np.int64)
         for e in range(m):

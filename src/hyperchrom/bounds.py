@@ -725,39 +725,27 @@ def _fraction_parts(frac: Fraction | None) -> tuple[int, int]:
 def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
     """What the assignment scan needs from NB(H), drawn from one walk.
 
-    Returns, as int64 arrays, the sign (-1)^|A| of every member A, its
-    component label per vertex (numbered by first appearance in vertex
-    order) and its component count; then P(H, k) as an int, and per edge
-    the sum of k^(c(A)-1) over the even-size members A holding it.
+    Returns, per member A, its sign (-1)^|A| and its components as 0-based
+    vertex lists, in order of first vertex; then P(H, k) as an int, and
+    per edge the sum of k^(c(A)-1) over the even-size members A holding it.
     """
     H = catalog.H
-    signs: list[int] = []
-    labels: list[list[int]] = []
-    ncomps: list[int] = []
+    members: list[tuple[int, list[list[int]]]] = []
     p_k = 0
     table = [[0] * (H.n + 1) for _ in range(H.m)]
     for mask, size, comps, parent in _nb_walk(catalog, eta):
         sign = -1 if size & 1 else 1
-        roots: dict[int, int] = {}
-        row = []
+        by_root: dict[int, list[int]] = {}
         for v in range(H.n):
             root = v
             while parent[root] != root:
                 root = parent[root]
-            row.append(roots.setdefault(root, len(roots)))
-        signs.append(sign)
-        labels.append(row)
-        ncomps.append(comps)
+            by_root.setdefault(root, []).append(v)
+        members.append((sign, list(by_root.values())))
         p_k += sign * k**comps
         if sign > 0:
             _add_even(table, mask, comps)
-    return (
-        np.array(signs, dtype=np.int64),
-        np.array(labels, dtype=np.int64).reshape(len(labels), H.n),
-        np.array(ncomps, dtype=np.int64),
-        p_k,
-        np.array(_even_weights(table, k), dtype=np.int64),
-    )
+    return members, p_k, np.array(_even_weights(table, k), dtype=np.int64)
 
 
 def scan_assignments_one_extra_color(
@@ -804,7 +792,7 @@ def scan_assignments_one_extra_color(
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
-    signs, labels, ncomps, p_k, prop_s = _member_table(_catalog_for(H, catalog), eta, k)
+    members, p_k, prop_s = _member_table(_catalog_for(H, catalog), eta, k)
     big_k = k ** (H.n - r)
 
     u_frac = l_frac = None
@@ -816,16 +804,10 @@ def scan_assignments_one_extra_color(
     u_num, u_den = _fraction_parts(u_frac)
     l_num, l_den = _fraction_parts(l_frac)
 
-    ev, eo = _kernels.edges_csr(H)
     checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
-        H.n,
+        H,
         k + 1,
-        signs,
-        labels,
-        ncomps,
-        ev,
-        eo,
-        H.m,
+        members,
         np.int64(p_k),
         np.int64(big_k),
         prop_s,

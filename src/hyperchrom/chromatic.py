@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk
 from .errors import InputError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, require_valid
 
 __all__ = [
     "IntPolynomial",
@@ -132,10 +132,10 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     """
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
-    ce_vertices, ce_offsets = _kernels.edges_csr(H)
+    require_valid(H)
     if H.n == 0:
         return 1
     if k == 0:
         return 0
     budget.check_cap("brute_force", k**H.n, "proper-coloring enumeration")
-    return _kernels.count_proper_colorings(H.n, k, ce_vertices, ce_offsets)
+    return int(_kernels.coloring_counts(H, k)[0])

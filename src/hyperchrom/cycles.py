@@ -25,7 +25,6 @@ __all__ = [
     "DeltaCycleCatalog",
     "is_delta_cycle",
     "enumerate_delta_cycles",
-    "broken_delta_cycles",
     "nb_subsets",
     "normalize_eta",
 ]
@@ -76,18 +75,17 @@ def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
 
 
 class DeltaCycleCatalog:
-    """All delta-cycles of a hypergraph up to a given edge-count limit.
+    """All delta-cycles of a hypergraph.
 
     Stores the cycles in deterministic order (by size, then by bitmask) and
     derives, per edge labelling, both the one-broken-set-per-cycle list and
     the deduplicated broken family used by the NB enumeration.
     """
 
-    __slots__ = ("H", "max_edges", "cycles", "_broken_cache")
+    __slots__ = ("H", "cycles", "_broken_cache")
 
-    def __init__(self, H: Hypergraph, max_edges: int, cycle_masks: Iterable[int]):
+    def __init__(self, H: Hypergraph, cycle_masks: Iterable[int]):
         self.H = H
-        self.max_edges = max_edges
         masks = sorted(set(cycle_masks), key=lambda mk: (bin(mk).count("1"), mk))
         self.cycles = tuple(EdgeSubset.from_mask(H.m, mk) for mk in masks)
         self._broken_cache: dict = {}
@@ -120,10 +118,8 @@ class DeltaCycleCatalog:
         return self._broken_cache[eta]
 
 
-def enumerate_delta_cycles(
-    H: Hypergraph, max_edges: int | None = None
-) -> DeltaCycleCatalog:
-    """Find every delta-cycle with at most max_edges edges (default: all).
+def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
+    """Find every delta-cycle of H.
 
     Bottom-up by subset size: a candidate containing an already-found smaller
     delta-cycle is skipped, so the covering condition alone settles the rest
@@ -132,13 +128,12 @@ def enumerate_delta_cycles(
     require_valid(H)
     m = H.m
     budget.check_cap("nb_edges", m, "delta-cycle enumeration")
-    limit = m if max_edges is None else min(max_edges, m)
-    key = ("catalog", limit)
+    key = "catalog"
     if key in H._cache:
         return H._cache[key]
     vmasks = H.edge_vertex_masks()
     found: list[int] = []
-    for s in range(3, limit + 1):
+    for s in range(3, m + 1):
         for combo in combinations(range(m), s):
             mask = 0
             for j in combo:
@@ -147,16 +142,9 @@ def enumerate_delta_cycles(
                 continue
             if _condition_a(vmasks, combo):
                 found.append(mask)
-    catalog = DeltaCycleCatalog(H, limit, found)
+    catalog = DeltaCycleCatalog(H, found)
     H._cache[key] = catalog
     return catalog
-
-
-def broken_delta_cycles(
-    catalog: DeltaCycleCatalog, eta: Sequence[int] | None = None
-) -> list[EdgeSubset]:
-    """Deduplicated broken delta-cycles of the catalog under eta."""
-    return list(catalog.broken_family(eta))
 
 
 def broken_by_max_edge(broken_masks: Iterable[int], m: int) -> list[list[int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .errors import GeneratorError, InputError
@@ -113,6 +114,9 @@ def random_antichain(n: int, m: int, rng: random.Random) -> Hypergraph:
     """A random hypergraph on 1..n with m edges, sampled by rejection."""
     if n < 2 and m > 0:
         raise InputError(f"edges need n >= 2, got n={n}")
+    # Sperner: no antichain of sets of size >= 2 beats the widest such layer
+    if m > max((comb(n, s) for s in range(2, n + 1)), default=0):
+        raise GeneratorError(f"no antichain with n={n}, m={m} found")
     for _ in range(10000):
         edges: list[frozenset[int]] = []
         ok = True

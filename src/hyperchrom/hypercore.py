@@ -113,9 +113,6 @@ class EdgeSubset:
     def __iter__(self) -> Iterator[int]:
         return iter(self.labels)
 
-    def __or__(self, other: "EdgeSubset") -> "EdgeSubset":
-        return EdgeSubset.from_mask(self.m, self.mask | other.mask)
-
     def issubset(self, other: "EdgeSubset") -> bool:
         return self.mask & ~other.mask == 0
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, nb_subsets
 from .errors import InputError
-from .hypercore import DisjointSet, EdgeSubset, Hypergraph
+from .hypercore import DisjointSet, EdgeSubset, Hypergraph, require_valid
 
 __all__ = [
     "ListAssignment",
@@ -37,6 +37,8 @@ __all__ = [
     "list_color_function_exact",
     "list_color_function_search",
 ]
+
+_BATCH = 4096  # assignments per kernel call in list_color_function_exact
 
 
 class ListAssignment:
@@ -193,8 +195,8 @@ def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
     if H.n > 0:
         budget.check_cap("brute_force", L.k**H.n, "list-coloring enumeration")
     values = np.array([L.lists[v] for v in range(1, H.n + 1)], dtype=np.int64)
-    ce_vertices, ce_offsets = _kernels.edges_csr(H)
-    return _kernels.count_list_colorings(H.n, values.reshape(H.n, L.k), ce_vertices, ce_offsets)
+    require_valid(H)
+    return int(_kernels.coloring_counts(H, L.k, values.reshape(1, H.n, L.k))[0])
 
 
 def count_L_colorings_expansion(
@@ -250,9 +252,7 @@ def _canonical_assignments(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ..
     yield from rec(1, k)
 
 
-def list_color_function_exact(
-    H: Hypergraph, k: int, batch_size: int = 4096
-) -> tuple[int, ListAssignment]:
+def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignment]:
     """P_l(H, k) with a minimizing assignment, by exhausting assignments.
 
     Scans one representative per color-renaming class (vertex 1 pinned
@@ -269,7 +269,7 @@ def list_color_function_exact(
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
-    ce = _kernels.edges_csr(H)
+    require_valid(H)
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
     best = -1
@@ -280,10 +280,10 @@ def list_color_function_exact(
         nonlocal best, best_lists
         if not batch:
             return False
-        arr = np.array(batch, dtype=np.int64)
-        got, idx = _kernels.batch_min_list_colorings(arr, n, k, *ce, 0)
-        if best < 0 or got < best:
-            best = got
+        counts = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
+        idx = int(np.argmin(counts))  # the first minimum
+        if best < 0 or counts[idx] < best:
+            best = int(counts[idx])
             best_lists = batch[idx]
         batch.clear()
         return best == 0
@@ -291,7 +291,7 @@ def list_color_function_exact(
     done = False
     for cand in _canonical_assignments(n, k):
         batch.append(cand)
-        if len(batch) >= batch_size:
+        if len(batch) >= _BATCH:
             if flush():
                 done = True
                 break

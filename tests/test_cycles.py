@@ -11,7 +11,6 @@ from hyperchrom import (
     Hypergraph,
     InputError,
     enumerate_delta_cycles,
-    broken_delta_cycles,
     is_delta_cycle,
     nb_subsets,
     normalize_eta,
@@ -68,7 +67,6 @@ class TestCatalog:
         assert cat.broken_family(None) == (tri.subset([2, 3]),)
         # reversed order ranks edge 3 lowest instead
         assert cat.broken_family([3, 2, 1]) == (tri.subset([1, 2]),)
-        assert broken_delta_cycles(cat) == list(cat.broken_family(None))
         assert cat.broken_per_cycle(None) == [tri.subset([2, 3])]
 
     def test_catalog_cached_on_instance(self, tri):
@@ -125,7 +123,7 @@ class TestNbSubsets:
                 assert sub in members
 
     def test_explicit_catalog_must_match_instance(self, tri, e2):
-        cat = DeltaCycleCatalog(e2, e2.m, [])
+        cat = DeltaCycleCatalog(e2, [])
         with pytest.raises(InputError):
             list(nb_subsets(tri, catalog=cat))
 

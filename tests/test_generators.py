@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -71,6 +72,17 @@ class TestRandomFamilies:
             H = random_antichain(6, 3, rng)
             assert H.n == 6 and H.m == 3
             assert validate(H) == []
+
+    def test_antichain_beyond_sperner_refused_at_once(self):
+        # the widest antichains of sets of size >= 2, found by exhaustion
+        for n, widest in ((2, 1), (3, 3), (4, 6)):
+            assert max(H.m for H in iter_edge_antichains(n, 7)) == widest
+        for n, m in ((2, 2), (3, 4)):
+            start = time.process_time()
+            with pytest.raises(GeneratorError):
+                random_antichain(n, m, random.Random(1))
+            assert time.process_time() - start < 0.1
+        assert random_antichain(3, 3, random.Random(1)).m == 3
 
     def test_assignment_postconditions(self):
         rng = random.Random(2)

@@ -32,7 +32,7 @@ from hyperchrom import (
     scan_assignments_one_extra_color,
     uniformity,
 )
-from hyperchrom import _kernels
+from hyperchrom import _kernels, listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 
@@ -47,13 +47,6 @@ def oracle_list_count(H, lists):
 
 def oracle_proper_count(H, k):
     return oracle_list_count(H, [range(k)] * H.n)
-
-
-def oracle_batch_min(H, batch):
-    """Smallest count over the batch and the index of its first occurrence."""
-    counts = [oracle_list_count(H, lists) for lists in batch]
-    best = min(counts)
-    return best, counts.index(best)
 
 
 def oracle_scan(H, k, gap_factor=0.0):
@@ -128,22 +121,45 @@ class TestKernelParity:
             )
             assert oracle_list_count(H, [witness.lists[v] for v in range(1, H.n + 1)]) == value
 
-    def test_batch_minimum_first_witness(self, e2, tri, monkeypatch):
-        # chunks of one or two assignments, so ties also straddle chunks
-        monkeypatch.setattr(_kernels, "_CHUNK", 64)
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_counts_per_assignment(self, e2, tri, chunk, monkeypatch):
+        # small chunks split the colorings, and each chunk the assignments
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         rng = random.Random(11)
-        for H, k in ((e2, 2), (tri, 2), (tri, 3)):
-            for _ in range(10):
+        for H, k in ((e2, 2), (e2, 3), (tri, 2), (tri, 3)):
+            assert _kernels.coloring_counts(H, k).tolist() == [oracle_proper_count(H, k)]
+            for _ in range(5):
                 batch = [
                     [sorted(rng.sample(range(1, k + 3), k)) for _ in range(H.n)]
                     for _ in range(rng.randint(1, 12))
                 ]
-                batch += batch[: rng.randint(0, len(batch))]  # ties must keep the first
-                ev, eo = _kernels.edges_csr(H)
-                got = _kernels.batch_min_list_colorings(
-                    np.array(batch, dtype=np.int64), H.n, k, ev, eo, -1
-                )
-                assert got == oracle_batch_min(H, batch)
+                got = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
+                assert got.tolist() == [oracle_list_count(H, lists) for lists in batch]
+
+    def test_counts_without_vertices_or_colors(self, e2):
+        for H, k in ((Hypergraph(0, []), 0), (Hypergraph(0, []), 2), (e2, 0)):
+            want = oracle_proper_count(H, k)
+            assert _kernels.coloring_counts(H, k).tolist() == [want]
+            for batch in (0, 1, 3):
+                values = np.zeros((batch, H.n, k), dtype=np.int64)
+                assert _kernels.coloring_counts(H, k, values).tolist() == [want] * batch
+
+    def test_exact_witness_is_first_minimum(self, e2, tri, monkeypatch):
+        # scanned forwards and backwards in batches of a few assignments, so
+        # ties and zeros (which end the scan early) straddle batches
+        c4 = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        canonical = listcolor._canonical_assignments
+        for H, k in ((c4, 2), (e2, 1), (tri, 2)):
+            forward = list(canonical(H.n, k))
+            for order in (forward, forward[::-1]):
+                counts = [oracle_list_count(H, lists) for lists in order]
+                first = counts.index(min(counts))
+                monkeypatch.setattr(listcolor, "_canonical_assignments", lambda n, k, order=order: iter(order))
+                for size in (1, 2, 3, 4096):
+                    monkeypatch.setattr(listcolor, "_BATCH", size)
+                    value, witness = list_color_function_exact(H, k)
+                    assert value == counts[first]
+                    assert tuple(witness.lists[v] for v in range(1, H.n + 1)) == order[first]
 
     def test_per_edge_census(self, e2, f1):
         for H, L in (

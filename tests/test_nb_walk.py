@@ -34,15 +34,18 @@ def _oracle(H, catalog, eta):
     return members
 
 
-def _oracle_labels(H, mask):
+def _oracle_partition(H, mask):
+    """The components of the mask's edges as 0-based vertex tuples, by first vertex."""
     dsu = DisjointSet(H.n)
     for i in range(H.m):
         if mask >> i & 1:
             edge = H.edges[i]
             for v in edge[1:]:
                 dsu.union(edge[0] - 1, v - 1)
-    roots: dict[int, int] = {}
-    return tuple(roots.setdefault(dsu.find(v), len(roots)) for v in range(H.n))
+    parts: dict[int, list[int]] = {}
+    for v in range(H.n):
+        parts.setdefault(dsu.find(v), []).append(v)
+    return tuple(map(tuple, parts.values()))
 
 
 def _check_walk(H, eta, k=2):
@@ -65,12 +68,14 @@ def _check_walk(H, eta, k=2):
     assert chromatic_polynomial(H, eta=eta, catalog=catalog) == poly
     assert bounds._even_edge_table(catalog, eta) == even
 
-    signs, labels, ncomps, p_k, prop_s = bounds._member_table(catalog, eta, k)
-    got = sorted(zip(signs.tolist(), map(tuple, labels.tolist()), ncomps.tolist()))
-    want = sorted(
-        ((-1) ** size, _oracle_labels(H, mask), comps) for mask, size, comps in oracle
-    )
-    assert got == want
+    members, p_k, prop_s = bounds._member_table(catalog, eta, k)
+    got = sorted((sign, tuple(map(tuple, comps))) for sign, comps in members)
+    want = []
+    for mask, size, comps in oracle:
+        partition = _oracle_partition(H, mask)
+        assert len(partition) == comps
+        want.append(((-1) ** size, partition))
+    assert got == sorted(want)
     assert p_k == poly.eval(k)
     assert prop_s.tolist() == [
         sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in even
