@@ -1,13 +1,19 @@
 """Command-line front end.
 
 Subcommands wire the library into reproducible runs: chromatic,
-delta-cycles, nb, list-count, plk, verify, gen.  All outputs are
-deterministic for a fixed config and seed; every numeric result is also
-available as a structured JSON record via --json.
+delta-cycles, nb, list-count, plk, verify, gen.  Each subparser names its
+handler with ``set_defaults(handler=...)``, and the handler reads the
+parsed arguments directly, so every option and its default is declared
+once, in ``build_parser``.  ``gen`` takes its families from the
+``_FAMILIES`` table.  All outputs are deterministic for fixed arguments
+and seed; every numeric result is also available as a structured JSON
+record via --json.
 
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
 (oracle or route mismatch, a failing bound), 2 input error, 3 budget
-refusal, 4 generator failure.
+refusal, 4 generator failure (the random families fall back to one
+greedy pass over the shuffled r-subsets when rejection sampling gives
+up; 4 means that pass failed too).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import reports_to_csv, theorem_certify, verify_grids
@@ -33,35 +39,7 @@ from .listcolor import (
 )
 from . import generators
 
-__all__ = ["RunConfig", "main", "build_parser"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, parsed and validated."""
-
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    eta: tuple[int, ...] | None = None
-    k: int | None = None
-    seed: int = 0
-    out: str | None = None
-    as_json: bool = False
-    oracle: bool = False
-    contains: int | None = None
-    size: int | None = None
-    heuristic: bool = False
-    iterations: int = 400
-    grids: bool = False
-    theorem: int | None = None
-    effort: str = "auto"
-    csv: str | None = None
-    family: str | None = None
-    index: int | None = None
-    n: int | None = None
-    m: int | None = None
-    r: int | None = None
-    rho_min: int | None = None
+__all__ = ["main", "build_parser"]
 
 
 def _parse_eta(text: str | None) -> tuple[int, ...] | None:
@@ -93,18 +71,19 @@ def _labels_text(labels) -> str:
     return "{" + ",".join(f"e{lab}" for lab in labels) + "}"
 
 
-def cmd_chromatic(cfg: RunConfig) -> int:
-    H = _load_hypergraph(cfg.inputs[0])
-    poly = chromatic_polynomial(H, eta=cfg.eta)
+def cmd_chromatic(args: argparse.Namespace) -> int:
+    eta = _parse_eta(args.eta)
+    H = _load_hypergraph(args.input)
+    poly = chromatic_polynomial(H, eta=eta)
     rc = 0
     record: dict = {"poly": poly.to_pairs(), "text": str(poly)}
     lines = [str(poly)]
-    if cfg.k is not None:
-        value = poly.eval(cfg.k)
-        record["k"] = cfg.k
+    if args.k is not None:
+        value = poly.eval(args.k)
+        record["k"] = args.k
         record["eval"] = value
-        if cfg.oracle:
-            brute = count_proper_colorings(H, cfg.k)
+        if args.oracle:
+            brute = count_proper_colorings(H, args.k)
             record["oracle"] = brute
             if brute == value:
                 lines.append(f"{value} (oracle agrees)")
@@ -113,18 +92,19 @@ def cmd_chromatic(cfg: RunConfig) -> int:
                 rc = 1
         else:
             lines.append(str(value))
-    if cfg.as_json:
+    if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
         print("\n".join(lines))
     return rc
 
 
-def cmd_delta_cycles(cfg: RunConfig) -> int:
-    H = _load_hypergraph(cfg.inputs[0])
+def cmd_delta_cycles(args: argparse.Namespace) -> int:
+    eta = _parse_eta(args.eta)
+    H = _load_hypergraph(args.input)
     catalog = enumerate_delta_cycles(H)
-    broken = catalog.broken_per_cycle(cfg.eta)
-    if cfg.as_json:
+    broken = catalog.broken_per_cycle(eta)
+    if args.json:
         record = {
             "count": len(catalog.cycles),
             "cycles": [
@@ -145,13 +125,14 @@ def cmd_delta_cycles(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_nb(cfg: RunConfig) -> int:
-    H = _load_hypergraph(cfg.inputs[0])
+def cmd_nb(args: argparse.Namespace) -> int:
+    eta = _parse_eta(args.eta)
+    H = _load_hypergraph(args.input)
     subsets = [
         A.labels
-        for A in nb_subsets(H, eta=cfg.eta, must_contain=cfg.contains, size=cfg.size)
+        for A in nb_subsets(H, eta=eta, must_contain=args.contains, size=args.size)
     ]
-    if cfg.as_json:
+    if args.json:
         print(json.dumps({"count": len(subsets), "subsets": [list(s) for s in subsets]}))
         return 0
     for labels in subsets:
@@ -160,14 +141,15 @@ def cmd_nb(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_list_count(cfg: RunConfig) -> int:
-    H = _load_hypergraph(cfg.inputs[0])
-    L = _load_assignment(cfg.inputs[1])
+def cmd_list_count(args: argparse.Namespace) -> int:
+    eta = _parse_eta(args.eta)
+    H = _load_hypergraph(args.input)
+    L = _load_assignment(args.assignment)
     brute = count_L_colorings(H, L)
-    expansion = count_L_colorings_expansion(H, L, eta=cfg.eta)
+    expansion = count_L_colorings_expansion(H, L, eta=eta)
     profile = alpha(H, L)
     rc = 0 if brute == expansion else 1
-    if cfg.as_json:
+    if args.json:
         record = {
             "P_HL": brute,
             "alpha": profile.total,
@@ -186,20 +168,18 @@ def cmd_list_count(cfg: RunConfig) -> int:
     return rc
 
 
-def cmd_plk(cfg: RunConfig) -> int:
-    H = _load_hypergraph(cfg.inputs[0])
-    if cfg.k is None:
-        raise InputError("plk needs --k")
+def cmd_plk(args: argparse.Namespace) -> int:
+    H = _load_hypergraph(args.input)
     try:
-        p = chromatic_polynomial(H).eval(cfg.k)
+        p = chromatic_polynomial(H).eval(args.k)
     except BudgetExceededError:
         # expansion over the edge cap; the direct count may still fit
-        p = count_proper_colorings(H, cfg.k)
-    if cfg.heuristic:
+        p = count_proper_colorings(H, args.k)
+    if args.heuristic:
         value, witness = list_color_function_search(
-            H, cfg.k, iterations=cfg.iterations, seed=cfg.seed
+            H, args.k, iterations=args.iterations, seed=args.seed
         )
-        if cfg.as_json:
+        if args.json:
             record = {
                 "P_l_upper": value,
                 "P": p,
@@ -212,7 +192,7 @@ def cmd_plk(cfg: RunConfig) -> int:
         print(f"witness: {witness.to_json()}")
         return 0
     try:
-        value, witness = list_color_function_exact(H, cfg.k)
+        value, witness = list_color_function_exact(H, args.k)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         print("hint: rerun with --heuristic for a search-based upper bound", file=sys.stderr)
@@ -227,7 +207,7 @@ def cmd_plk(cfg: RunConfig) -> int:
         if witness.is_constant()
         else f"; witness: {witness.to_json()}"
     )
-    if cfg.as_json:
+    if args.json:
         record = {
             "P_l": value,
             "P": p,
@@ -242,7 +222,7 @@ def cmd_plk(cfg: RunConfig) -> int:
     return rc
 
 
-def _expand_paths(paths: tuple[str, ...]) -> list[str]:
+def _expand_paths(paths: list[str]) -> list[str]:
     out: list[str] = []
     for raw in paths:
         p = Path(raw)
@@ -253,40 +233,27 @@ def _expand_paths(paths: tuple[str, ...]) -> list[str]:
     return out
 
 
-def _report_to_record(rep) -> dict:
-    return {
-        "name": rep.name,
-        "inputs": {key: value for key, value in rep.inputs.items()},
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "relation": rep.relation,
-        "verdict": rep.verdict,
-        "applicability": list(rep.applicability),
-        "details": rep.details,
-    }
-
-
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
-    if cfg.grids:
+    if args.grids:
         reports.extend(verify_grids())
-    if cfg.theorem is not None:
-        if cfg.k is None:
+    if args.theorem is not None:
+        if args.k is None:
             raise InputError("--theorem needs --k")
-        files = _expand_paths(cfg.inputs)
+        files = _expand_paths(args.inputs)
         if not files:
             raise InputError("--theorem needs at least one instance file or directory")
         for path in files:
             H = _load_hypergraph(path)
-            rep = theorem_certify(H, cfg.k, cfg.theorem, effort=cfg.effort)
+            rep = theorem_certify(H, args.k, args.theorem, effort=args.effort)
             rep.inputs["instance"] = path
             reports.append(rep)
-    elif not cfg.grids:
+    elif not args.grids:
         raise InputError("nothing to verify: pass --grids and/or --theorem")
-    if cfg.csv:
-        Path(cfg.csv).write_text(reports_to_csv(reports))
-    if cfg.as_json:
-        print(json.dumps([_report_to_record(r) for r in reports], sort_keys=True, default=float))
+    if args.csv:
+        Path(args.csv).write_text(reports_to_csv(reports))
+    if args.json:
+        print(json.dumps([asdict(r) for r in reports], sort_keys=True, default=float))
     else:
         for rep in reports:
             where = rep.inputs.get("instance")
@@ -302,51 +269,33 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if any(rep.verdict == "fails" for rep in reports) else 0
 
 
-def _need(cfg: RunConfig, **fields) -> list:
+# family -> (generator, the flags it needs in order, whether it takes --seed)
+_FAMILIES = {
+    "random-linear": (generators.random_linear_r_uniform, ("n", "m", "r"), True),
+    "random-linear-r-uniform": (generators.random_linear_r_uniform, ("n", "m", "r"), True),
+    "random-rho": (generators.random_r_uniform_rho, ("n", "m", "r", "rho"), True),
+    "random-r-uniform-rho": (generators.random_r_uniform_rho, ("n", "m", "r", "rho"), True),
+    "tight-path": (generators.tight_path, ("n", "r"), False),
+    "sunflower-free": (generators.sunflower_free, ("n", "m", "r"), True),
+    "fig1": (generators.fig1, ("index",), False),
+}
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    make, flags, seeded = _FAMILIES[args.family]
     values = []
-    for name, value in fields.items():
+    for flag in flags:
+        value = getattr(args, flag)
         if value is None:
-            raise InputError(f"--family {cfg.family} needs --{name}")
+            raise InputError(f"--family {args.family} needs --{flag}")
         values.append(value)
-    return values
-
-
-def cmd_gen(cfg: RunConfig) -> int:
-    family = cfg.family
-    if family in ("random-linear", "random-linear-r-uniform"):
-        n, m, r = _need(cfg, n=cfg.n, m=cfg.m, r=cfg.r)
-        H = generators.random_linear_r_uniform(n, m, r, seed=cfg.seed)
-    elif family in ("random-rho", "random-r-uniform-rho"):
-        n, m, r, rho_min = _need(cfg, n=cfg.n, m=cfg.m, r=cfg.r, rho=cfg.rho_min)
-        H = generators.random_r_uniform_rho(n, m, r, rho_min, seed=cfg.seed)
-    elif family == "tight-path":
-        n, r = _need(cfg, n=cfg.n, r=cfg.r)
-        H = generators.tight_path(n, r)
-    elif family == "sunflower-free":
-        n, m, r = _need(cfg, n=cfg.n, m=cfg.m, r=cfg.r)
-        H = generators.sunflower_free(n, m, r, seed=cfg.seed)
-    elif family == "fig1":
-        (index,) = _need(cfg, index=cfg.index)
-        H = generators.fig1(index)
-    else:
-        raise InputError(f"unknown family {family!r}")
+    H = make(*values, seed=args.seed) if seeded else make(*values)
     text = H.to_json() + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         print(text, end="")
     return 0
-
-
-_HANDLERS = {
-    "chromatic": cmd_chromatic,
-    "delta-cycles": cmd_delta_cycles,
-    "nb": cmd_nb,
-    "list-count": cmd_list_count,
-    "plk": cmd_plk,
-    "verify": cmd_verify,
-    "gen": cmd_gen,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("chromatic", help="chromatic polynomial of a hypergraph file")
+    p.set_defaults(handler=cmd_chromatic)
     p.add_argument("input")
     p.add_argument("--eta", help="edge ordering as comma-separated labels")
     p.add_argument("--k", type=int)
@@ -364,11 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("delta-cycles", help="enumerate the delta-cycle catalog")
+    p.set_defaults(handler=cmd_delta_cycles)
     p.add_argument("input")
     p.add_argument("--eta")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nb", help="stream the broken-free edge subsets")
+    p.set_defaults(handler=cmd_nb)
     p.add_argument("input")
     p.add_argument("--eta")
     p.add_argument("--contains", type=int, help="only subsets containing this edge label")
@@ -376,12 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("list-count", help="count list colorings by both routes")
+    p.set_defaults(handler=cmd_list_count)
     p.add_argument("input")
     p.add_argument("assignment")
     p.add_argument("--eta")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("plk", help="list-color function at k")
+    p.set_defaults(handler=cmd_plk)
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--heuristic", action="store_true", help="search-based upper bound")
@@ -390,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="grid checks and theorem certification")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("inputs", nargs="*", help="instance files or directories")
     p.add_argument("--grids", action="store_true")
     p.add_argument("--theorem", type=int, choices=(1, 2, 3))
@@ -399,70 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "random-linear",
-            "random-linear-r-uniform",
-            "random-rho",
-            "random-r-uniform-rho",
-            "tight-path",
-            "sunflower-free",
-            "fig1",
-        ),
-    )
+    p.set_defaults(handler=cmd_gen)
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--index", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--rho", type=int, dest="rho_min")
+    p.add_argument("--rho", type=int, metavar="RHO_MIN")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default stdout)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs: tuple[str, ...] = ()
-    if hasattr(args, "inputs"):
-        inputs = tuple(args.inputs)
-    elif hasattr(args, "input"):
-        inputs = (args.input,)
-        if hasattr(args, "assignment"):
-            inputs += (args.assignment,)
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=inputs,
-        eta=_parse_eta(getattr(args, "eta", None)),
-        k=getattr(args, "k", None),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-        as_json=getattr(args, "json", False),
-        oracle=getattr(args, "oracle", False),
-        contains=getattr(args, "contains", None),
-        size=getattr(args, "size", None),
-        heuristic=getattr(args, "heuristic", False),
-        iterations=getattr(args, "iterations", 400),
-        grids=getattr(args, "grids", False),
-        theorem=getattr(args, "theorem", None),
-        effort=getattr(args, "effort", "auto"),
-        csv=getattr(args, "csv", None),
-        family=getattr(args, "family", None),
-        index=getattr(args, "index", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        r=getattr(args, "r", None),
-        rho_min=getattr(args, "rho_min", None),
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 3

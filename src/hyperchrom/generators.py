@@ -3,8 +3,10 @@
 The exhaustive iterators drive the oracle-equivalence and inequality
 sweeps; they enumerate every valid edge set (an antichain of vertex
 sets, each of size >= 2) within the stated limits, including edge sets
-leaving vertices isolated.  The random families are rejection samplers
-with explicit retry budgets; identical seeds give identical instances.
+leaving vertices isolated.  The random r-uniform families are rejection
+samplers with explicit retry budgets that fall back to one greedy pass
+over the shuffled r-subsets when every try fails; identical seeds give
+identical instances.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import GeneratorError, InputError
-from .hypercore import Hypergraph, is_linear, rho, validate
+from .hypercore import Hypergraph, validate
 from .listcolor import ListAssignment
 
 __all__ = [
@@ -80,6 +82,13 @@ def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
     return rec(0)
 
 
+def _check_uniform(n: int, r: int) -> None:
+    if r < 2:
+        raise InputError(f"r must be >= 2, got {r}")
+    if n < r:
+        raise InputError(f"n must be >= r, got n={n}, r={r}")
+
+
 def iter_r_uniform(
     n: int, r: int, m: int, linear_only: bool = False
 ) -> Iterator[Hypergraph]:
@@ -88,10 +97,7 @@ def iter_r_uniform(
     With linear_only, restricts to edge sets whose pairwise
     intersections have at most one vertex.
     """
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise InputError(f"n must be >= r, got n={n}, r={r}")
+    _check_uniform(n, r)
     cands = list(combinations(range(1, n + 1), r))
     sets = [frozenset(e) for e in cands]
     chosen: list[int] = []
@@ -168,25 +174,51 @@ def _finish(H: Hypergraph) -> Hypergraph:
     return H
 
 
-def random_linear_r_uniform(
-    n: int, m: int, r: int, seed: int = 0, max_tries: int = 10000
-) -> Hypergraph:
-    """Random linear r-uniform instance (pairwise intersections <= 1)."""
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise InputError(f"n must be >= r, got n={n}, r={r}")
+# the greedy fallback holds every r-subset of 1..n in memory at once
+_GREEDY_POOL = 200_000
+
+
+def _random_uniform(n, m, r, seed, max_tries, what, pair_ok, triple_bad=None) -> Hypergraph:
+    """m distinct r-subsets of 1..n; every pair passes pair_ok, no triple is triple_bad.
+
+    Samples whole edge sets up to max_tries times.  When every try fails
+    and there are at most _GREEDY_POOL r-subsets, makes one greedy pass
+    over them in shuffled order, keeping each that fits the edges kept so
+    far.  Raises GeneratorError(what) when both fail.
+    """
     rng = random.Random(seed)
+
+    def fits(e: frozenset, kept: list[frozenset]) -> bool:
+        return all(pair_ok(e, f) for f in kept) and not (
+            triple_bad and any(triple_bad(e, f, g) for f, g in combinations(kept, 2))
+        )
+
     for _ in range(max_tries):
         edges = _distinct_r_subsets(n, m, r, rng)
         if edges is None:
             continue
-        H = Hypergraph(n, edges)
-        if is_linear(H):
-            return _finish(H)
-    raise GeneratorError(
-        f"no linear {r}-uniform instance with n={n}, m={m} after {max_tries} tries"
-    )
+        sets = [frozenset(e) for e in edges]
+        if all(fits(e, sets[:i]) for i, e in enumerate(sets)):
+            return _finish(Hypergraph(n, edges))
+    if comb(n, r) <= _GREEDY_POOL:
+        pool = list(combinations(range(1, n + 1), r))
+        rng.shuffle(pool)
+        kept: list[frozenset] = []
+        for e in map(frozenset, pool):
+            if fits(e, kept):
+                kept.append(e)
+                if len(kept) == m:
+                    return _finish(Hypergraph(n, sorted(tuple(sorted(f)) for f in kept)))
+    raise GeneratorError(f"{what} after {max_tries} tries")
+
+
+def random_linear_r_uniform(
+    n: int, m: int, r: int, seed: int = 0, max_tries: int = 10000
+) -> Hypergraph:
+    """Random linear r-uniform instance (pairwise intersections <= 1)."""
+    _check_uniform(n, r)
+    what = f"no linear {r}-uniform instance with n={n}, m={m}"
+    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: len(e & f) <= 1)
 
 
 def random_r_uniform_rho(
@@ -198,32 +230,17 @@ def random_r_uniform_rho(
     max_tries: int = 10000,
 ) -> Hypergraph:
     """Random r-uniform instance with rho(H) >= rho_min (needs m >= 2)."""
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise InputError(f"n must be >= r, got n={n}, r={r}")
+    _check_uniform(n, r)
     if m < 2:
         raise InputError(f"rho needs m >= 2, got {m}")
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        edges = _distinct_r_subsets(n, m, r, rng)
-        if edges is None:
-            continue
-        H = Hypergraph(n, edges)
-        if rho(H) >= rho_min:
-            return _finish(H)
-    raise GeneratorError(
-        f"no {r}-uniform instance with rho >= {rho_min}, n={n}, m={m} "
-        f"after {max_tries} tries"
-    )
+    what = f"no {r}-uniform instance with rho >= {rho_min}, n={n}, m={m}"
+    # on r-uniform edges |e \ f| = |f \ e|, so one test per pair suffices
+    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: len(e - f) >= rho_min)
 
 
 def tight_path(n: int, r: int) -> Hypergraph:
     """Consecutive r-windows on 1..n; adjacent edges overlap in r-1 vertices."""
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise InputError(f"n must be >= r, got n={n}, r={r}")
+    _check_uniform(n, r)
     edges = [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
     return _finish(Hypergraph(n, edges))
 
@@ -242,26 +259,9 @@ def sunflower_free(
     common core (three pairwise disjoint edges qualify, with empty
     core).
     """
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
-    if n < r:
-        raise InputError(f"n must be >= r, got n={n}, r={r}")
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        edges = _distinct_r_subsets(n, m, r, rng)
-        if edges is None:
-            continue
-        sets = [frozenset(e) for e in edges]
-        if any(
-            _is_sunflower(sets[i], sets[j], sets[t])
-            for i, j, t in combinations(range(len(sets)), 3)
-        ):
-            continue
-        return _finish(Hypergraph(n, edges))
-    raise GeneratorError(
-        f"no sunflower-free {r}-uniform instance with n={n}, m={m} "
-        f"after {max_tries} tries"
-    )
+    _check_uniform(n, r)
+    what = f"no sunflower-free {r}-uniform instance with n={n}, m={m}"
+    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: True, _is_sunflower)
 
 
 def fig1(index: int) -> Hypergraph:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -272,31 +272,15 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     require_valid(H)
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
-    best = -1
-    best_lists: tuple[tuple[int, ...], ...] | None = None
-    batch: list[tuple[tuple[int, ...], ...]] = []
-
-    def flush() -> bool:
-        nonlocal best, best_lists
-        if not batch:
-            return False
+    best, best_lists = -1, None
+    candidates = _canonical_assignments(n, k)
+    while batch := list(islice(candidates, _BATCH)):
         counts = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
         idx = int(np.argmin(counts))  # the first minimum
         if best < 0 or counts[idx] < best:
-            best = int(counts[idx])
-            best_lists = batch[idx]
-        batch.clear()
-        return best == 0
-
-    done = False
-    for cand in _canonical_assignments(n, k):
-        batch.append(cand)
-        if len(batch) >= _BATCH:
-            if flush():
-                done = True
-                break
-    if not done:
-        flush()
+            best, best_lists = int(counts[idx]), batch[idx]
+        if best == 0:
+            break
     assert best_lists is not None
     witness = ListAssignment(k, {v + 1: best_lists[v] for v in range(n)})
     return best, witness

@@ -1,13 +1,24 @@
-"""End-to-end CLI runs in subprocesses: output shapes and exit codes."""
+"""CLI runs, in subprocesses end to end and in-process: output shapes and exit codes."""
 
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hyperchrom import Hypergraph, ListAssignment
+from hyperchrom import (
+    Hypergraph,
+    ListAssignment,
+    chromatic_polynomial,
+    cli,
+    count_L_colorings,
+    count_L_colorings_expansion,
+    enumerate_delta_cycles,
+    generators,
+    nb_subsets,
+)
 from hyperchrom.generators import fig1
 
 
@@ -275,3 +286,103 @@ class TestDeterminism:
             a = run_cli(*args)
             b = run_cli(*args)
             assert (a.returncode, a.stdout, a.stderr) == (b.returncode, b.stdout, b.stderr)
+
+
+class TestInProcess:
+    """Flags and families run through ``cli.main(argv)`` in this process."""
+
+    @staticmethod
+    def run(capsys, *argv):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("random-rho --n 8 --m 4 --r 3 --rho 2 --seed 3",
+             lambda: generators.random_r_uniform_rho(8, 4, 3, 2, seed=3)),
+            ("random-r-uniform-rho --n 8 --m 4 --r 3 --rho 2 --seed 3",
+             lambda: generators.random_r_uniform_rho(8, 4, 3, 2, seed=3)),
+            ("random-linear-r-uniform --n 9 --m 4 --r 3 --seed 7",
+             lambda: generators.random_linear_r_uniform(9, 4, 3, seed=7)),
+            ("sunflower-free --n 9 --m 4 --r 3 --seed 5",
+             lambda: generators.sunflower_free(9, 4, 3, seed=5)),
+            ("sunflower-free --n 9 --m 4 --r 3",
+             lambda: generators.sunflower_free(9, 4, 3)),
+        ],
+    )
+    def test_gen_prints_library_json(self, capsys, argv, expected):
+        rc, out, err = self.run(capsys, "gen", "--family", *argv.split())
+        assert (rc, err) == (0, "")
+        assert out == expected().to_json() + "\n"
+
+    def test_gen_missing_rho(self, capsys):
+        rc, out, err = self.run(capsys, *"gen --family random-rho --n 8 --m 4 --r 3".split())
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --family random-rho needs --rho\n"
+
+    def test_verify_effort(self, capsys, files):
+        argv = ("verify", "--theorem", "2", "--k", "2", files["tri3.json"], "--json")
+        rc, out, _ = self.run(capsys, *argv, "--effort", "threshold")
+        assert rc == 0
+        assert json.loads(out)[0]["details"] == {}
+        rc, out, _ = self.run(capsys, *argv, "--effort", "exact")
+        assert rc == 0
+        H = Hypergraph.load(files["tri3.json"])
+        P = chromatic_polynomial(H).eval(2)
+        assert json.loads(out)[0]["details"] == {"P": P, "P_l": P, "exact_equal": True}
+
+    def test_plk_heuristic_without_iterations(self, capsys, files):
+        argv = ("plk", files["e2.json"], "--k", "3", "--heuristic", "--iterations")
+        rc, out, _ = self.run(capsys, *argv, "0", "--json")
+        assert rc == 0
+        record = json.loads(out)
+        assert record["P_l_upper"] == record["P"] == 192
+        assert ListAssignment.from_json(json.dumps(record["witness"])).is_constant()
+        rc, _, err = self.run(capsys, *argv, "-1")
+        assert rc == 2 and "iterations" in err
+
+    def test_nb_eta(self, capsys, files):
+        H = Hypergraph.load(files["tri3.json"])
+        rc, out, _ = self.run(capsys, "nb", files["tri3.json"], "--eta", "3,1,2", "--json")
+        assert rc == 0
+        expected = [list(A.labels) for A in nb_subsets(H, eta=(3, 1, 2))]
+        assert json.loads(out)["subsets"] == expected
+        H = Hypergraph.load(files["tri.json"])
+        rc, out, _ = self.run(capsys, "nb", files["tri.json"], "--eta", "2,3,1")
+        expected = [A.labels for A in nb_subsets(H, eta=(2, 3, 1))]
+        assert expected != [A.labels for A in nb_subsets(H)]
+        assert out.splitlines()[:-1] == ["{%s}" % ",".join(f"e{a}" for a in s) for s in expected]
+
+    def test_list_count_eta(self, capsys, files):
+        H = Hypergraph.load(files["e1.json"])
+        L = ListAssignment.from_json(Path(files["L1.json"]).read_text())
+        argv = ("list-count", files["e1.json"], files["L1.json"], "--eta")
+        rc, out, _ = self.run(capsys, *argv, "1", "--json")
+        assert rc == 0
+        record = json.loads(out)
+        assert record["expansion"] == count_L_colorings_expansion(H, L, eta=(1,)) == 7
+        assert record["brute"] == count_L_colorings(H, L)
+        for eta in ("1,x", "2"):
+            rc, _, err = self.run(capsys, *argv, eta)
+            assert rc == 2 and "eta" in err
+
+    def test_bad_eta_reported_before_bad_file(self, capsys):
+        rc, _, err = self.run(capsys, "chromatic", "/nonexistent/h.json", "--eta", "x")
+        assert rc == 2
+        assert err.startswith("error: --eta wants comma-separated integers")
+
+    def test_delta_cycles_json_matches_catalog(self, capsys, files):
+        H = Hypergraph.load(files["tri.json"])
+        catalog = enumerate_delta_cycles(H)
+        rc, out, _ = self.run(capsys, "delta-cycles", files["tri.json"], "--eta", "3,2,1", "--json")
+        assert rc == 0
+        assert json.loads(out) == {
+            "count": len(catalog.cycles),
+            "cycles": [
+                {"edges": list(cyc.labels), "size": cyc.size, "broken": list(brk.labels)}
+                for cyc, brk in zip(catalog.cycles, catalog.broken_per_cycle((3, 2, 1)))
+            ],
+        }

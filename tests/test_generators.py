@@ -100,6 +100,20 @@ class TestRandomFamilies:
         assert H == random_linear_r_uniform(9, 4, 3, seed=7)
         assert H != random_linear_r_uniform(9, 4, 3, seed=8)
 
+    def test_linear_uniform_pinned(self):
+        # the rejection sampler's draw, as generated before the greedy fallback
+        assert random_linear_r_uniform(9, 4, 3, seed=7).to_json() == (
+            '{"edges":[[1,2,7],[1,4,9],[2,3,9],[3,4,6]],"n":9}'
+        )
+
+    def test_linear_uniform_greedy_fallback(self):
+        # rejection gives up at this density; the greedy pass does not
+        H = random_linear_r_uniform(10, 10, 3)
+        assert is_linear(H)
+        assert uniformity(H) == 3 and H.m == 10
+        assert validate(H) == []
+        assert H == random_linear_r_uniform(10, 10, 3)
+
     def test_linear_uniform_unsatisfiable(self):
         # only 4 triples exist on 4 vertices and no two of them are linear
         with pytest.raises(GeneratorError):
@@ -110,6 +124,12 @@ class TestRandomFamilies:
         assert uniformity(H) == 3
         assert rho(H) >= 2
         assert H == random_r_uniform_rho(8, 4, 3, 2, seed=3)
+
+    def test_rho_floor_greedy_fallback(self):
+        H = random_r_uniform_rho(11, 14, 3, 2)
+        assert rho(H) >= 2
+        assert uniformity(H) == 3 and H.m == 14
+        assert validate(H) == []
 
     def test_rho_floor_unsatisfiable(self):
         # rho of 3-uniform edges never exceeds 3
