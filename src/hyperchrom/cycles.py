@@ -5,6 +5,11 @@ by the vertices of the remaining edges: ``e <= V(F \\ {e})`` for every e in F.
 No set with fewer than 3 edges can qualify (a 2-edge set would need one edge
 inside the other, which the hypergraph invariants forbid).
 
+The condition holds exactly when every vertex of V(F) lies in at least two
+edges of F, so the catalog comes from a covering search: grow a set from its
+lowest edge, always adding an edge that holds a vertex covered only once,
+until no such vertex is left.
+
 Fixing an edge labelling eta, each delta-cycle C yields one broken
 delta-cycle: C minus its eta-minimal edge.  NB(H) is the family of edge
 subsets containing no broken delta-cycle; it is downward closed, which the
@@ -14,7 +19,6 @@ exactly NB(H) and never leaves it.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import budget
@@ -74,6 +78,10 @@ def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
     return [cyc.mask for cyc in own.cycles] == [(1 << len(members)) - 1]
 
 
+def _size_then_mask(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
 class DeltaCycleCatalog:
     """All delta-cycles of a hypergraph.
 
@@ -86,7 +94,7 @@ class DeltaCycleCatalog:
 
     def __init__(self, H: Hypergraph, cycle_masks: Iterable[int]):
         self.H = H
-        masks = sorted(set(cycle_masks), key=lambda mk: (bin(mk).count("1"), mk))
+        masks = sorted(set(cycle_masks), key=_size_then_mask)
         self.cycles = tuple(EdgeSubset.from_mask(H.m, mk) for mk in masks)
         self._broken_cache: dict = {}
 
@@ -109,10 +117,7 @@ class DeltaCycleCatalog:
                 drop = min(cyc.labels, key=lambda lab: eta[lab - 1])
                 broken = EdgeSubset.from_mask(self.H.m, cyc.mask & ~(1 << (drop - 1)))
                 per_cycle.append((cyc, broken))
-            family = sorted(
-                {br.mask for _, br in per_cycle},
-                key=lambda mk: (bin(mk).count("1"), mk),
-            )
+            family = sorted({br.mask for _, br in per_cycle}, key=_size_then_mask)
             dedup = tuple(EdgeSubset.from_mask(self.H.m, mk) for mk in family)
             self._broken_cache[eta] = (per_cycle, dedup)
         return self._broken_cache[eta]
@@ -121,9 +126,16 @@ class DeltaCycleCatalog:
 def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
     """Find every delta-cycle of H.
 
-    Bottom-up by subset size: a candidate containing an already-found smaller
-    delta-cycle is skipped, so the covering condition alone settles the rest
-    (minimality holds by construction).  Results are cached on the hypergraph.
+    F meets the covering condition exactly when every vertex of V(F) lies in
+    at least two edges of F, so the delta-cycles are the inclusion-minimal
+    edge sets with that property.  For each edge i0 a covering search starts
+    from {i0} and, while some vertex is covered only once, branches on the
+    edges above i0 that contain the vertex with the fewest such edges (the
+    minimum-remaining-values rule); each branch bans its earlier siblings, so
+    no set is reached twice.  A set with no once-covered vertex is recorded,
+    and the inclusion-minimal records are the catalog.  The search keeps its
+    own stack, so its depth is not bounded by Python's recursion limit.
+    Results are cached on the hypergraph.
     """
     require_valid(H)
     m = H.m
@@ -132,17 +144,39 @@ def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
     if key in H._cache:
         return H._cache[key]
     vmasks = H.edge_vertex_masks()
+    holders = [0] * H.n  # vertex bit -> mask of the edges holding it
+    for j, edge in enumerate(H.edges):
+        for v in edge:
+            holders[v - 1] |= 1 << j
     found: list[int] = []
-    for s in range(3, m + 1):
-        for combo in combinations(range(m), s):
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            if any(cm & mask == cm for cm in found):
-                continue
-            if _condition_a(vmasks, combo):
+    for i0 in range(m):
+        # (edge set, vertices covered once, covered twice or more, open edges)
+        stack = [(1 << i0, vmasks[i0], 0, (1 << m) - (2 << i0))]
+        while stack:
+            mask, once, twice, free = stack.pop()
+            if not once:
                 found.append(mask)
-    catalog = DeltaCycleCatalog(H, found)
+                continue
+            best = 0
+            fewest = m + 1
+            rest = once
+            while rest:
+                low = rest & -rest
+                options = holders[low.bit_length() - 1] & free
+                count = options.bit_count()
+                if count < fewest:
+                    best, fewest = options, count
+                    if not count:
+                        break
+                rest ^= low
+            while best:
+                low = best & -best
+                edge = vmasks[low.bit_length() - 1]
+                free ^= low
+                more = twice | once & edge
+                stack.append((mask | low, (once | edge) & ~more, more, free))
+                best ^= low
+    catalog = DeltaCycleCatalog(H, _inclusion_minimal(sorted(found, key=_size_then_mask)))
     H._cache[key] = catalog
     return catalog
 
@@ -183,7 +217,10 @@ def _catalog_for(H: Hypergraph, catalog: DeltaCycleCatalog | None) -> DeltaCycle
 
 
 def _nb_walk(
-    catalog: DeltaCycleCatalog, eta: Sequence[int] | None = None, max_size: int | None = None
+    catalog: DeltaCycleCatalog,
+    eta: Sequence[int] | None = None,
+    max_size: int | None = None,
+    need: int = 0,
 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """Depth-first walk over NB(H) under eta, in preorder.
 
@@ -194,6 +231,9 @@ def _nb_walk(
     0-based vertices (union by size, no path compression): following it from
     a vertex to a fixed point gives its component root.  It is valid only
     until the next step.  ``max_size`` stops the descent at that many edges.
+    ``need``, a one-edge mask, stops the descent from a subset without that
+    edge once the walk has passed it, since no descendant can hold it; the
+    members still yielded keep their order.
     """
     H = catalog.H
     require_valid(H)
@@ -203,11 +243,12 @@ def _nb_walk(
         catalog._broken_cache[key] = broken_by_max_edge(masks, H.m)
     edges = [[v - 1 for v in edge] for edge in H.edges]
     limit = H.m if max_size is None else max_size
-    return _walk(H.n, edges, catalog._broken_cache[key], limit)
+    return _walk(H.n, edges, catalog._broken_cache[key], limit, need)
 
 
-def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int):
+def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int, need: int):
     m = len(edges)
+    stop = need.bit_length() if need else m  # past it, only subsets holding need extend
     parent = list(range(n))
     weight = [1] * n
     merged: list[int] = []  # roots hung under another root, in merge order
@@ -215,7 +256,7 @@ def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int):
     mask, size, comps, j = 0, 0, n, 0
     yield mask, size, comps, parent
     while True:
-        if j < m and size < limit:
+        if j < m and size < limit and (j < stop or mask & need):
             new_mask = mask | 1 << j
             for bmask in groups[j]:
                 if bmask & ~new_mask == 0:
@@ -265,13 +306,14 @@ def nb_subsets(
     Optional filters restrict the stream to subsets containing the edge with
     label ``must_contain`` and/or to subsets of exactly ``size`` edges.
     Because broken-freeness is hereditary, the walk only ever extends
-    broken-free subsets; pruning is exact, not heuristic.
+    broken-free subsets, and with ``must_contain`` it leaves a branch once it
+    has passed that edge without taking it; pruning is exact, not heuristic.
     """
     m = H.m
     if must_contain is not None and not 1 <= must_contain <= m:
         raise InputError(f"must_contain label {must_contain} outside 1..{m}")
     want = 0 if must_contain is None else 1 << (must_contain - 1)
-    walk = _nb_walk(_catalog_for(H, catalog), eta, max_size=size)
+    walk = _nb_walk(_catalog_for(H, catalog), eta, max_size=size, need=want)
     return (
         EdgeSubset.from_mask(m, mask)
         for mask, count, _comps, _parent in walk

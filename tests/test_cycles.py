@@ -1,6 +1,9 @@
 """Delta-cycle detection, broken families, and the pruned subset stream."""
 
 import itertools
+import math
+import random
+import time
 
 import pytest
 
@@ -15,7 +18,55 @@ from hyperchrom import (
     nb_subsets,
     normalize_eta,
 )
+from hyperchrom.cycles import _nb_walk
 from hyperchrom.generators import iter_edge_antichains
+
+
+def _covers(vmasks, members):
+    # e <= V(F \ {e}) for every member edge e, via prefix/suffix vertex unions
+    s = len(members)
+    if s < 3:
+        return False
+    prefix = [0] * (s + 1)
+    for i, j in enumerate(members):
+        prefix[i + 1] = prefix[i] | vmasks[j]
+    suffix = [0] * (s + 1)
+    for i in range(s - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | vmasks[members[i]]
+    for i, j in enumerate(members):
+        if vmasks[j] & ~(prefix[i] | suffix[i + 1]):
+            return False
+    return True
+
+
+def _sweep_catalog(H):
+    """The delta-cycle masks by the all-subsets sweep, sorted by size then mask.
+
+    Bottom-up by subset size: a candidate holding an already-found smaller
+    delta-cycle is skipped, so the covering condition settles the rest.
+    """
+    vmasks = H.edge_vertex_masks()
+    found = []
+    for s in range(3, H.m + 1):
+        for combo in itertools.combinations(range(H.m), s):
+            mask = 0
+            for j in combo:
+                mask |= 1 << j
+            if any(cm & mask == cm for cm in found):
+                continue
+            if _covers(vmasks, combo):
+                found.append(mask)
+    return sorted(found, key=lambda mk: (bin(mk).count("1"), mk))
+
+
+def _random_uniform(rng, r, n, m):
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    rng.shuffle(pool)
+    return Hypergraph(n, pool[:m])
+
+
+def _assert_catalog_is_sweep(H):
+    assert [c.mask for c in enumerate_delta_cycles(H).cycles] == _sweep_catalog(H), H
 
 
 class TestIsDeltaCycle:
@@ -33,6 +84,15 @@ class TestIsDeltaCycle:
                 assert not is_delta_cycle(f1, f1.subset(labels))
         assert not is_delta_cycle(h2, h2.full_subset())
         assert not is_delta_cycle(h3, h3.full_subset())
+
+    def test_every_subset_against_sweep(self, f1):
+        k4 = Hypergraph(4, list(itertools.combinations(range(1, 5), 2)))
+        for H in (f1, k4):
+            cycles = set(_sweep_catalog(H))
+            for mask in range(1 << H.m):
+                F = EdgeSubset.from_mask(H.m, mask)
+                assert is_delta_cycle(H, F) == (mask in cycles), (H, F)
+        assert len(enumerate_delta_cycles(k4)) == 7  # 4 triangles, 3 four-cycles
 
     def test_no_two_edge_cycle_exists(self):
         # each edge must sit inside the union of the others; with two
@@ -83,6 +143,39 @@ class TestCatalog:
                 for cyc in enumerate_delta_cycles(H).cycles:
                     assert cyc.size >= 3
 
+    def test_search_matches_sweep_on_small_antichains(self):
+        count = 0
+        for n in range(6):
+            for H in iter_edge_antichains(n, 4):
+                _assert_catalog_is_sweep(H)
+                count += 1
+        assert count == 3007
+
+    def test_search_matches_sweep_on_random_uniform(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            r = rng.randint(2, 4)
+            n = rng.randint(r + 1, 9)
+            m = rng.randint(1, min(12, math.comb(n, r)))
+            _assert_catalog_is_sweep(_random_uniform(rng, r, n, m))
+
+    def test_search_matches_sweep_on_dense_prefixes(self):
+        for n in (6, 7):
+            for r in (2, 3):
+                edges = list(itertools.combinations(range(1, n + 1), r))[:15]
+                _assert_catalog_is_sweep(Hypergraph(n, edges))
+
+    def test_long_cycle_needs_no_recursion(self, monkeypatch):
+        # C_1500: the search runs 1500 edges deep, beyond the default
+        # recursion limit; the sweep would face 2^1500 subsets
+        n = 1500
+        H = Hypergraph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+        monkeypatch.setenv("HYPERCHROM_BUDGET", f"nb_edges={n}")
+        start = time.process_time()
+        cycles = enumerate_delta_cycles(H).cycles
+        assert time.process_time() - start < 2.0
+        assert cycles == (H.full_subset(),)
+
     def test_budget_cap(self, monkeypatch, tri):
         monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=2")
         with pytest.raises(BudgetExceededError) as exc:
@@ -126,6 +219,23 @@ class TestNbSubsets:
         cat = DeltaCycleCatalog(e2, [])
         with pytest.raises(InputError):
             list(nb_subsets(tri, catalog=cat))
+
+    def test_must_contain_prunes_without_changing_stream(self, tri, f1):
+        rng = random.Random(3)
+        instances = [tri, f1, _random_uniform(rng, 3, 7, 10), _random_uniform(rng, 2, 6, 10)]
+        for H in instances:
+            catalog = enumerate_delta_cycles(H)
+            eta = list(range(1, H.m + 1))
+            rng.shuffle(eta)
+            for order in (None, eta):
+                full = [mask for mask, *_ in _nb_walk(catalog, order)]
+                for label in range(1, H.m + 1):
+                    bit = 1 << (label - 1)
+                    streamed = [A.mask for A in nb_subsets(H, eta=order, must_contain=label)]
+                    assert streamed == [mask for mask in full if mask & bit]
+                pruned = sum(1 for _ in _nb_walk(catalog, order, need=1))
+                assert pruned < len(full)
+                assert pruned == 1 + sum(1 for mask in full if mask & 1)
 
     def test_must_contain_out_of_range(self, tri):
         with pytest.raises(InputError):
