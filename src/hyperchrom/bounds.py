@@ -184,7 +184,7 @@ def _even_edge_table(catalog: DeltaCycleCatalog, eta) -> list[list[int]]:
     key = ("even", normalize_eta(H, eta))
     if key not in catalog._broken_cache:
         table = [[0] * (H.n + 1) for _ in range(H.m)]
-        for mask, size, comps, _parent in _nb_walk(catalog, eta):
+        for mask, size, comps, _blocks in _nb_walk(catalog, eta):
             if not size & 1:
                 _add_even(table, mask, comps)
         catalog._broken_cache[key] = table
@@ -733,15 +733,15 @@ def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
     members: list[tuple[int, list[list[int]]]] = []
     p_k = 0
     table = [[0] * (H.n + 1) for _ in range(H.m)]
-    for mask, size, comps, parent in _nb_walk(catalog, eta):
+    for mask, size, comps, blocks in _nb_walk(catalog, eta):
         sign = -1 if size & 1 else 1
-        by_root: dict[int, list[int]] = {}
-        for v in range(H.n):
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            by_root.setdefault(root, []).append(v)
-        members.append((sign, list(by_root.values())))
+        covered = 0
+        for block in blocks:
+            covered |= block
+        parts = [[v] for v in range(H.n) if not covered >> v & 1]
+        parts += [[v for v in range(H.n) if block >> v & 1] for block in blocks]
+        parts.sort()  # disjoint lists, so this orders them by first vertex
+        members.append((sign, parts))
         p_k += sign * k**comps
         if sign > 0:
             _add_even(table, mask, comps)

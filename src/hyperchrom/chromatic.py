@@ -118,7 +118,7 @@ def chromatic_polynomial(
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     # members counted by component count, even sizes in row 0 and odd in row 1
     counts = [[0] * (H.n + 1), [0] * (H.n + 1)]
-    for _mask, size, comps, _parent in _nb_walk(_catalog_for(H, catalog), eta):
+    for _mask, size, comps, _blocks in _nb_walk(_catalog_for(H, catalog), eta):
         counts[size & 1][comps] += 1
     even, odd = counts
     return IntPolynomial({c: even[c] - odd[c] for c in range(H.n + 1)})

@@ -14,7 +14,9 @@ Fixing an edge labelling eta, each delta-cycle C yields one broken
 delta-cycle: C minus its eta-minimal edge.  NB(H) is the family of edge
 subsets containing no broken delta-cycle; it is downward closed, which the
 depth-first enumeration exploits: extending only broken-free subsets visits
-exactly NB(H) and never leaves it.
+exactly NB(H) and never leaves it.  The walk carries the components of each
+member as vertex bitmasks, one per component with an edge; a step builds a
+new list of them, so backtracking returns to the list it had kept.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import budget
 from .errors import InputError
-from .hypercore import EdgeSubset, Hypergraph, require_valid
+from .hypercore import EdgeSubset, Hypergraph, _add_block, require_valid
 
 __all__ = [
     "DeltaCycleCatalog",
@@ -47,35 +49,16 @@ def normalize_eta(H: Hypergraph, eta: Sequence[int] | None) -> tuple[int, ...]:
     return eta
 
 
-def _condition_a(vmasks: Sequence[int], members: Sequence[int]) -> bool:
-    # e <= V(F \ {e}) for every member edge e, via prefix/suffix vertex unions
-    s = len(members)
-    if s < 3:
-        return False
-    prefix = [0] * (s + 1)
-    for i, j in enumerate(members):
-        prefix[i + 1] = prefix[i] | vmasks[j]
-    suffix = [0] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | vmasks[members[i]]
-    for i, j in enumerate(members):
-        others = prefix[i] | suffix[i + 1]
-        if vmasks[j] & ~others:
-            return False
-    return True
-
-
 def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
     """True iff F satisfies the covering condition and no proper subset does.
 
     A proper subset meeting the condition would hold a delta-cycle, so F
-    qualifies exactly when the catalog of its own edges is F alone.
+    qualifies exactly when the catalog of its own edges is F alone.  That
+    catalog is built under the nb_edges cap, so an F with more edges than
+    the cap is refused whatever its answer would be.
     """
-    members = [lab - 1 for lab in F.labels]
-    if not _condition_a(H.edge_vertex_masks(), members):
-        return False
-    own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[j] for j in members]))
-    return [cyc.mask for cyc in own.cycles] == [(1 << len(members)) - 1]
+    own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[lab - 1] for lab in F.labels]))
+    return [cyc.mask for cyc in own.cycles] == [(1 << F.size) - 1]
 
 
 def _size_then_mask(mask: int) -> tuple[int, int]:
@@ -224,16 +207,17 @@ def _nb_walk(
 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """Depth-first walk over NB(H) under eta, in preorder.
 
-    Yields ``(mask, size, components, parent)`` per member, the empty subset
+    Yields ``(mask, size, components, blocks)`` per member, the empty subset
     first; children add edges in increasing index order.  A step to A+{j} is
     taken only when no broken set with maximum edge j fits inside it, which
-    visits exactly NB(H).  ``parent`` is the live rollback union-find over the
-    0-based vertices (union by size, no path compression): following it from
-    a vertex to a fixed point gives its component root.  It is valid only
-    until the next step.  ``max_size`` stops the descent at that many edges.
-    ``need``, a one-edge mask, stops the descent from a subset without that
-    edge once the walk has passed it, since no descendant can hold it; the
-    members still yielded keep their order.
+    visits exactly NB(H).  ``blocks`` lists the components that hold an
+    edge as vertex bitmasks (vertex v -> bit v-1); the vertices outside
+    them are isolated.  Each step builds a new list and leaves the earlier
+    ones as they were, so consumers may keep it but must not change it.
+    ``max_size`` stops the descent at that many edges.  ``need``, a one-edge
+    mask, stops the descent from a subset without that edge once the walk
+    has passed it, since no descendant can hold it; the members still
+    yielded keep their order.
     """
     H = catalog.H
     require_valid(H)
@@ -241,20 +225,16 @@ def _nb_walk(
     if key not in catalog._broken_cache:
         masks = _inclusion_minimal([b.mask for b in catalog.broken_family(eta)])
         catalog._broken_cache[key] = broken_by_max_edge(masks, H.m)
-    edges = [[v - 1 for v in edge] for edge in H.edges]
     limit = H.m if max_size is None else max_size
-    return _walk(H.n, edges, catalog._broken_cache[key], limit, need)
+    return _walk(H.n, H.edge_vertex_masks(), catalog._broken_cache[key], limit, need)
 
 
-def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int, need: int):
-    m = len(edges)
+def _walk(n: int, vmasks: list[int], groups: list[list[int]], limit: int, need: int):
+    m = len(vmasks)
     stop = need.bit_length() if need else m  # past it, only subsets holding need extend
-    parent = list(range(n))
-    weight = [1] * n
-    merged: list[int] = []  # roots hung under another root, in merge order
-    stack: list[tuple[int, int, int]] = []  # (edge added, len(merged), components)
-    mask, size, comps, j = 0, 0, n, 0
-    yield mask, size, comps, parent
+    stack: list[tuple[int, list[int], int]] = []  # (edge added, blocks, union) before it
+    mask, size, blocks, union, j = 0, 0, [], 0, 0
+    yield mask, size, n, blocks
     while True:
         if j < m and size < limit and (j < stop or mask & need):
             new_mask = mask | 1 << j
@@ -262,31 +242,15 @@ def _walk(n: int, edges: list[list[int]], groups: list[list[int]], limit: int, n
                 if bmask & ~new_mask == 0:
                     break
             else:
-                stack.append((j, len(merged), comps))
-                vs = edges[j]
-                ra = vs[0]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                for rb in vs[1:]:
-                    while parent[rb] != rb:
-                        rb = parent[rb]
-                    if ra != rb:
-                        if weight[ra] < weight[rb]:
-                            ra, rb = rb, ra
-                        parent[rb] = ra
-                        weight[ra] += weight[rb]
-                        merged.append(rb)
-                        comps -= 1
+                stack.append((j, blocks, union))
+                blocks = _add_block(blocks, vmasks[j])
+                union |= vmasks[j]
                 mask = new_mask
                 size += 1
-                yield mask, size, comps, parent
+                yield mask, size, n + len(blocks) - union.bit_count(), blocks
             j += 1
         elif stack:
-            j, mark, comps = stack.pop()
-            while len(merged) > mark:
-                child = merged.pop()
-                weight[parent[child]] -= weight[child]
-                parent[child] = child
+            j, blocks, union = stack.pop()
             mask ^= 1 << j
             size -= 1
             j += 1
@@ -316,6 +280,6 @@ def nb_subsets(
     walk = _nb_walk(_catalog_for(H, catalog), eta, max_size=size, need=want)
     return (
         EdgeSubset.from_mask(m, mask)
-        for mask, count, _comps, _parent in walk
+        for mask, count, _comps, _blocks in walk
         if mask & want == want and (size is None or count == size)
     )

@@ -8,7 +8,10 @@ containment pairs are reported by :func:`validate`.
 Structural statistics:
 
 * ``components(H, A)`` counts connected components of the spanning
-  subhypergraph with edge set A; isolated vertices count.
+  subhypergraph with edge set A; isolated vertices count.  Components are
+  kept as vertex bitmasks: adding an edge fuses every block its vertex mask
+  meets (``_add_block``).  The NB walk and ``listcolor.beta`` build their
+  components with the same helper.
 * ``rho(H)`` is the minimum of ``|e \\ e'|`` over ordered pairs of distinct
   edges; for r-uniform H it satisfies 1 <= rho <= r, with rho >= 2 exactly
   when no two edges overlap in r-1 vertices.
@@ -26,7 +29,6 @@ from .errors import InputError, UndefinedStatisticError
 __all__ = [
     "Hypergraph",
     "EdgeSubset",
-    "DisjointSet",
     "validate",
     "components",
     "rho",
@@ -34,38 +36,6 @@ __all__ = [
     "uniformity",
     "is_linear",
 ]
-
-
-class DisjointSet:
-    """Union-find over 0..size-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.count = size
-
-    def find(self, x: int) -> int:
-        # find with path compression
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
 
 
 class EdgeSubset:
@@ -268,10 +238,13 @@ def _violations(H: Hypergraph) -> list[str]:
     if not in_range:
         # the bitmask build below needs positive vertices
         return violations
+    # distinct edges of one size cannot hold each other, so only larger ones are tried
     masks = H.edge_vertex_masks()
-    for i in range(H.m):
-        for j in range(H.m):
-            if i != j and masks[i] != masks[j] and masks[i] & ~masks[j] == 0:
+    sizes = {len(e) for e in H.edges}
+    larger = {s: [j for j, f in enumerate(H.edges) if len(f) > s] for s in sizes}
+    for i, edge in enumerate(H.edges):
+        for j in larger[len(edge)]:
+            if masks[i] & ~masks[j] == 0:
                 violations.append(f"edge {i + 1} is contained in edge {j + 1}")
     return violations
 
@@ -282,16 +255,45 @@ def components(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> int:
     All n vertices participate, so isolated vertices count as components;
     components(H, empty) == n.
     """
-    labels = A.labels if isinstance(A, EdgeSubset) else tuple(A)
-    dsu = DisjointSet(H.n)
-    for lab in labels:
-        if not 1 <= lab <= H.m:
-            raise InputError(f"edge label {lab} outside 1..{H.m}")
-        edge = H.edges[lab - 1]
-        first = edge[0] - 1
-        for v in edge[1:]:
-            dsu.union(first, v - 1)
-    return dsu.count
+    blocks, covered = _subset_blocks(H, A)
+    return H.n + len(blocks) - covered.bit_count()
+
+
+def _subset_blocks(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> tuple[list[int], int]:
+    """The components of H<A> that hold an edge, and the vertices they cover.
+
+    Both are vertex bitmasks (vertex v -> bit v-1); the vertices outside
+    ``covered`` are isolated.  Refuses an invalid H and a label outside
+    1..m; repeated labels are harmless.
+    """
+    require_valid(H)
+    m = H.m
+    vmasks = H.edge_vertex_masks()
+    blocks: list[int] = []
+    covered = 0
+    for lab in A.labels if isinstance(A, EdgeSubset) else A:
+        if not 1 <= lab <= m:
+            raise InputError(f"edge label {lab} outside 1..{m}")
+        blocks = _add_block(blocks, vmasks[lab - 1])
+        covered |= vmasks[lab - 1]
+    return blocks, covered
+
+
+def _add_block(blocks: list[int], mask: int) -> list[int]:
+    """Add the vertex set ``mask`` to disjoint component blocks, as a new list.
+
+    Every block that meets ``mask`` fuses with it; the others are kept in
+    order and the fused block comes last.  The input list is not changed,
+    so a caller may keep it and return to it later.
+    """
+    kept = []
+    for block in blocks:
+        if block & mask:
+            mask |= block
+        else:
+            kept.append(block)
+    kept.append(mask)
+    return kept
 
 
 def rho(H: Hypergraph) -> int:

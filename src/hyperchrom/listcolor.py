@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, nb_subsets
 from .errors import InputError
-from .hypercore import DisjointSet, EdgeSubset, Hypergraph, require_valid
+from .hypercore import EdgeSubset, Hypergraph, _subset_blocks, require_valid
 
 __all__ = [
     "ListAssignment",
@@ -152,6 +152,7 @@ def _check_match(H: Hypergraph, L: ListAssignment) -> None:
 def alpha(H: Hypergraph, L: ListAssignment) -> AlphaProfile:
     """Per-edge and total list disagreement of L on H."""
     _check_match(H, L)
+    require_valid(H)
     per_edge = []
     for edge in H.edges:
         common = set(L.lists[edge[0]])
@@ -168,25 +169,18 @@ def beta(H: Hypergraph, L: ListAssignment, A: EdgeSubset | Iterable[int]) -> int
     empty subset is k^n.
     """
     _check_match(H, L)
-    labels = A.labels if isinstance(A, EdgeSubset) else tuple(A)
-    dsu = DisjointSet(H.n)
-    for lab in labels:
-        if not 1 <= lab <= H.m:
-            raise InputError(f"edge label {lab} outside 1..{H.m}")
-        edge = H.edges[lab - 1]
-        for v in edge[1:]:
-            dsu.union(edge[0] - 1, v - 1)
-    members: dict[int, set[int]] = {}
-    for v in range(1, H.n + 1):
-        root = dsu.find(v - 1)
-        if root in members:
-            members[root] &= set(L.lists[v])
-        else:
-            members[root] = set(L.lists[v])
+    blocks, covered = _subset_blocks(H, A)
     prod = 1
-    for common in members.values():
+    for block in blocks:
+        v = block.bit_length()  # the block's vertices, highest first
+        common = set(L.lists[v])
+        block ^= 1 << (v - 1)
+        while block:
+            v = block.bit_length()
+            common.intersection_update(L.lists[v])
+            block ^= 1 << (v - 1)
         prod *= len(common)
-    return prod
+    return prod * L.k ** (H.n - covered.bit_count())
 
 
 def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
@@ -296,6 +290,11 @@ def list_color_function_search(
     assignment, each step swaps one color of one vertex's list and keeps
     the move when the count does not increase.  Deterministic for a
     fixed seed; returns the best count found and its assignment.
+
+    The search can stay at P(H, k): when every single swap from the
+    constant assignment raises the count, it never moves.  On K_{2,4} at
+    k = 2 it reports 2 with the constant witness, while
+    ``list_color_function_exact`` finds 0.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")

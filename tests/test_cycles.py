@@ -94,6 +94,19 @@ class TestIsDeltaCycle:
                 assert is_delta_cycle(H, F) == (mask in cycles), (H, F)
         assert len(enumerate_delta_cycles(k4)) == 7  # 4 triangles, 3 four-cycles
 
+    def test_cap_applies_to_covering_and_other_sets(self, monkeypatch):
+        # the verdict comes from the catalog of F's own edges, so the nb_edges
+        # cap refuses any F larger than it, whether or not F covers itself
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=3")
+        path = Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        square = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        for H in (path, square):
+            with pytest.raises(BudgetExceededError) as exc:
+                is_delta_cycle(H, H.full_subset())
+            assert exc.value.cap_name == "nb_edges"
+        assert not is_delta_cycle(path, path.subset([1, 2, 3]))
+        assert not is_delta_cycle(square, square.subset([1, 2, 3]))
+
     def test_no_two_edge_cycle_exists(self):
         # each edge must sit inside the union of the others; with two
         # incomparable edges that is impossible

@@ -4,12 +4,13 @@ import pytest
 
 from hyperchrom import hypercore
 from hyperchrom import (
-    DisjointSet,
     EdgeSubset,
     Hypergraph,
     InputError,
     ListAssignment,
     UndefinedStatisticError,
+    alpha,
+    beta,
     chromatic_polynomial,
     components,
     count_L_colorings,
@@ -20,18 +21,6 @@ from hyperchrom import (
     uniformity,
     validate,
 )
-
-
-class TestDisjointSet:
-    def test_count_tracks_unions(self):
-        dsu = DisjointSet(5)
-        assert dsu.count == 5
-        assert dsu.union(0, 1)
-        assert dsu.union(1, 2)
-        assert not dsu.union(0, 2)
-        assert dsu.count == 3
-        assert dsu.find(0) == dsu.find(2)
-        assert dsu.find(3) != dsu.find(4)
 
 
 class TestEdgeSubset:
@@ -118,6 +107,19 @@ class TestValidate:
         msgs = validate(Hypergraph(4, [(1, 2), (1, 2, 3)]))
         assert any("edge 1 is contained in edge 2" in v for v in msgs)
 
+    def test_messages_and_order_on_mixed_sizes(self):
+        H = Hypergraph(5, [(1, 2, 3), (1, 2), (4,), (1, 2, 3), (4, 5), (3, 4, 5), (1, 4)])
+        assert validate(H) == [
+            "edge 3 has size 1 < 2",
+            "edge 4 duplicates edge 1",
+            "edge 2 is contained in edge 1",
+            "edge 2 is contained in edge 4",
+            "edge 3 is contained in edge 5",
+            "edge 3 is contained in edge 6",
+            "edge 3 is contained in edge 7",
+            "edge 5 is contained in edge 6",
+        ]
+
 
 class TestRefuseInvalid:
     """The computational entry points refuse what validate reports."""
@@ -133,8 +135,11 @@ class TestRefuseInvalid:
             lambda H: count_proper_colorings(H, 2),
             lambda H: count_L_colorings(H, ListAssignment.from_constant(H.n, 2)),
             lambda H: chromatic_polynomial(H),
+            lambda H: components(H, [1]),
+            lambda H: beta(H, ListAssignment.from_constant(H.n, 2), [1]),
+            lambda H: alpha(H, ListAssignment.from_constant(H.n, 2)),
         ],
-        ids=["proper", "list", "polynomial"],
+        ids=["proper", "list", "polynomial", "components", "beta", "alpha"],
     )
     def test_refused(self, edges, compute):
         H = Hypergraph(3, edges)

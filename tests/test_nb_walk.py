@@ -1,14 +1,15 @@
 """The NB(H) walk and everything folded from it, against a brute-force oracle.
 
 The oracle enumerates all 2^m edge subsets, keeps those containing no
-broken delta-cycle, and counts components with ``components``; it shares
-no code with the depth-first walk.
+broken delta-cycle, and counts components with ``components``.  That
+function and the walk build components with the same block helper, so every
+member's partition and count are also checked against a union-find written
+here, which shares no code with the library.
 """
 
 import random
 
 from hyperchrom import (
-    DisjointSet,
     Hypergraph,
     IntPolynomial,
     ListAssignment,
@@ -36,15 +37,21 @@ def _oracle(H, catalog, eta):
 
 def _oracle_partition(H, mask):
     """The components of the mask's edges as 0-based vertex tuples, by first vertex."""
-    dsu = DisjointSet(H.n)
+    parent = list(range(H.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
     for i in range(H.m):
         if mask >> i & 1:
             edge = H.edges[i]
             for v in edge[1:]:
-                dsu.union(edge[0] - 1, v - 1)
+                parent[find(v - 1)] = find(edge[0] - 1)
     parts: dict[int, list[int]] = {}
     for v in range(H.n):
-        parts.setdefault(dsu.find(v), []).append(v)
+        parts.setdefault(find(v), []).append(v)
     return tuple(map(tuple, parts.values()))
 
 
