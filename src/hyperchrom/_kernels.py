@@ -8,8 +8,13 @@ The walk over NB(H) is not a kernel; it runs on Python ints in
 
 Kernels take the hypergraph and read its edges through ``_edges``, which
 refuses an invalid instance once and caches the 0-based vertex tuples.
-Width contract: callers keep every count below 2^63 (the budget caps do
-this), so int64 never overflows.  The CSR encoders at the bottom serve the
+Width: the brute_force cap stays below 2^63 and bounds k^n, so every
+coloring count, P(H, L), P(H, k) and their difference fits in int64.  A
+member's term in the scan is at most k^n in size; a running sum that wraps
+ends exact, since its total fits.  The corollary bounds arrive as exact
+integer tables clipped to +-(k^n + 1).  The per-edge bound's sum is formed
+in int64 and is exact only while it fits: below 2^60 at the default caps,
+not assured under raised ones.  The CSR encoders at the bottom serve the
 benchmark only; no kernel reads them.
 """
 
@@ -99,25 +104,17 @@ def coloring_counts(H, k, values=None):
     return counts
 
 
-def omit_pattern_scan(
-    H,
-    num_colors,
-    members,
-    p_k,
-    prop_big_k,
-    prop_s,
-    u_num,
-    u_den,
-    l_num,
-    l_den,
-    gap_scaled,
-):
+def omit_pattern_scan(H, num_colors, members, p_k, prop_big_k, prop_s, thr_u, thr_l, gap_scaled):
     """Walk every omit pattern of a num_colors universe; count bound violations.
 
-    members lists (sign, component vertex lists) per NB(H) member, vertices
-    0-based.  Digit v of a pattern is the color vertex v omits, kept as the
-    bit 1 << digit, so num_colors must stay at most 63.  Returns (checked,
-    viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
+    members lists (weight, block vertex lists) per NB(H) member, vertices
+    0-based: the member adds weight times, per block, the colors its
+    vertices share.  Digit v of a pattern is the color vertex v omits, kept
+    as the bit 1 << digit, so num_colors must stay at most 63.  A pattern
+    with diff = P(H, L) - p_k and alpha = sum of alpha_e violates the per-edge
+    bound when diff < sum alpha_e * (prop_big_k - prop_s[e]), and a
+    corollary bound when diff < thr[alpha] (thr_u, thr_l; None skips one).
+    Returns (checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
     edges = _edges(H)
     n, m = H.n, len(edges)
@@ -144,30 +141,28 @@ def omit_pattern_scan(
         if not sel.any():
             continue
         p_l = np.zeros(cnt, dtype=np.int64)
-        for sign, comps in members:
-            prod = np.ones(cnt, dtype=np.int64)
-            for vlist in comps:
+        for weight, blocks in members:
+            prod = np.full(cnt, weight, dtype=np.int64)
+            for vlist in blocks:
                 om = bm[vlist[0]].copy()
                 for u in vlist[1:]:
                     om |= bm[u]
                 # uint8 counts: num_colors <= 63 keeps the difference in range
                 prod *= num_colors - np.bitwise_count(om)
-            p_l += sign * prod
+            p_l += prod
         diff = p_l - p_k
         rhs = np.zeros(cnt, dtype=np.int64)
         for e in range(m):
-            rhs += alpha_e[e] * (prop_big_k - int(prop_s[e]))
+            rhs += alpha_e[e] * (prop_big_k - prop_s[e])
         checked += int(sel.sum())
         viol_prop += int((sel & (diff < rhs)).sum())
-        if u_den != 0:
-            viol_u += int((sel & (diff * u_den < u_num * prop_big_k * alpha)).sum())
-        if l_den != 0:
-            viol_l += int((sel & (diff * l_den < l_num * prop_big_k * alpha)).sum())
+        if thr_u is not None:
+            viol_u += int((sel & (diff < thr_u[alpha])).sum())
+        if thr_l is not None:
+            viol_l += int((sel & (diff < thr_l[alpha])).sum())
         if gap_scaled > 0.0:
             margins = diff - gap_scaled * alpha
-            mm = margins[sel]
-            if mm.size:
-                min_gap_margin = min(min_gap_margin, float(mm.min()))
+            min_gap_margin = min(min_gap_margin, float(margins[sel].min()))  # sel has a pattern
             viol_gap += int((sel & (margins <= 0.0)).sum())
     return checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin
 

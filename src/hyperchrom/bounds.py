@@ -31,7 +31,7 @@ from . import _kernels, budget, hypercore
 from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk, normalize_eta
 from .errors import InputError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, _set_bits
 from .listcolor import ListAssignment, alpha, list_color_function_exact
 
 __all__ = [
@@ -166,14 +166,6 @@ def prop1_rhs(
     return sum(a * (big_k - w) for a, w in zip(profile.per_edge, weights) if a)
 
 
-def _add_even(table: list[list[int]], mask: int, comps: int) -> None:
-    """Count one even-size NB member with ``comps`` components under each of its edges."""
-    while mask:
-        low = mask & -mask
-        table[low.bit_length() - 1][comps] += 1
-        mask ^= low
-
-
 def _even_edge_table(catalog: DeltaCycleCatalog, eta) -> list[list[int]]:
     """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
 
@@ -186,7 +178,8 @@ def _even_edge_table(catalog: DeltaCycleCatalog, eta) -> list[list[int]]:
         table = [[0] * (H.n + 1) for _ in range(H.m)]
         for mask, size, comps, _blocks in _nb_walk(catalog, eta):
             if not size & 1:
-                _add_even(table, mask, comps)
+                for e in _set_bits(mask):
+                    table[e][comps] += 1
         catalog._broken_cache[key] = table
     return catalog._broken_cache[key]
 
@@ -713,39 +706,32 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     )
 
 
-def _fraction_parts(frac: Fraction | None) -> tuple[int, int]:
-    if frac is None:
-        return 0, 0
-    num, den = frac.numerator, frac.denominator
-    if not (-(2**62) < num < 2**62 and 0 < den < 2**62):
-        raise InputError("bound rational exceeds the exact-check word size")
-    return num, den
-
-
 def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
     """What the assignment scan needs from NB(H), drawn from one walk.
 
-    Returns, per member A, its sign (-1)^|A| and its components as 0-based
-    vertex lists, in order of first vertex; then P(H, k) as an int, and
-    per edge the sum of k^(c(A)-1) over the even-size members A holding it.
+    Returns, per member A, its weight (-1)^|A| * k^(isolated vertices) and
+    the vertex lists (0-based) of its components that hold an edge; then
+    P(H, k) as an int.  Each vertex of a pattern's assignment has k colors,
+    so the isolated ones fold into the weight.
     """
-    H = catalog.H
     members: list[tuple[int, list[list[int]]]] = []
     p_k = 0
-    table = [[0] * (H.n + 1) for _ in range(H.m)]
-    for mask, size, comps, blocks in _nb_walk(catalog, eta):
+    for _mask, size, comps, blocks in _nb_walk(catalog, eta):
         sign = -1 if size & 1 else 1
-        covered = 0
-        for block in blocks:
-            covered |= block
-        parts = [[v] for v in range(H.n) if not covered >> v & 1]
-        parts += [[v for v in range(H.n) if block >> v & 1] for block in blocks]
-        parts.sort()  # disjoint lists, so this orders them by first vertex
-        members.append((sign, parts))
+        members.append((sign * k ** (comps - len(blocks)), [list(_set_bits(b)) for b in blocks]))
         p_k += sign * k**comps
-        if sign > 0:
-            _add_even(table, mask, comps)
-    return members, p_k, np.array(_even_weights(table, k), dtype=np.int64)
+    return members, p_k
+
+
+def _threshold_table(frac: Fraction, big_k: int, top: int, limit: int) -> np.ndarray:
+    """thr[a] = ceil(frac * big_k * a) for a = 0..top, clipped to [-limit, limit].
+
+    For an integer diff with |diff| < limit, diff < thr[a] exactly when
+    diff < frac * big_k * a, and every entry fits in int64 once limit does.
+    """
+    num, den = frac.numerator * big_k, frac.denominator
+    table = [max(-limit, min(limit, -(-num * a // den))) for a in range(top + 1)]
+    return np.array(table, dtype=np.int64)
 
 
 def scan_assignments_one_extra_color(
@@ -792,30 +778,23 @@ def scan_assignments_one_extra_color(
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
-    members, p_k, prop_s = _member_table(_catalog_for(H, catalog), eta, k)
+    catalog = _catalog_for(H, catalog)
+    members, p_k = _member_table(catalog, eta, k)
     big_k = k ** (H.n - r)
+    prop_s = _even_weights(_even_edge_table(catalog, eta), k)
 
-    u_frac = l_frac = None
+    # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
+    top, limit = H.m * (r - 1), k**H.n + 1
+    thr_u = thr_l = None
     if H.m >= 2:
         if check_uniform:
             u_frac = cor_uniform_rhs_exact(H.m, hypercore.rho(H), k)
+            thr_u = _threshold_table(u_frac, big_k, top, limit)
         if check_linear:
-            l_frac = cor_linear_rhs_exact(H.m, r, k)
-    u_num, u_den = _fraction_parts(u_frac)
-    l_num, l_den = _fraction_parts(l_frac)
+            thr_l = _threshold_table(cor_linear_rhs_exact(H.m, r, k), big_k, top, limit)
 
     checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
-        H,
-        k + 1,
-        members,
-        np.int64(p_k),
-        np.int64(big_k),
-        prop_s,
-        np.int64(u_num),
-        np.int64(u_den),
-        np.int64(l_num),
-        np.int64(l_den),
-        float(gap_factor * big_k),
+        H, k + 1, members, p_k, big_k, prop_s, thr_u, thr_l, float(gap_factor * big_k)
     )
     return {
         "checked": checked,

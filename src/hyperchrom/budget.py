@@ -11,12 +11,14 @@ var HYPERCHROM_BUDGET overrides caps at run time:
 
 Cap names:
   nb_edges     max edge count for delta-cycle / NB enumeration   (default 24)
-  brute_force  max colorings a brute-force counter may visit     (default 1e8)
+  brute_force  max colorings a brute-force counter may visit     (default 1e8,
+               below 2^63 so the counts fit in int64)
   exact_plk    max n*k for exact list-color-function enumeration (default 12)
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .errors import BudgetExceededError, InputError
@@ -30,15 +32,15 @@ DEFAULT_CAPS = {
 }
 
 
+@functools.lru_cache(maxsize=8)
 def _parse_env(raw: str) -> dict:
+    """The caps a HYPERCHROM_BUDGET value sets; callers must not change the dict."""
     raw = raw.strip()
     if not raw:
         return {}
     overrides = {}
-    if "=" not in raw:
-        overrides["brute_force"] = _parse_int(raw)
-        return overrides
-    for part in raw.split(","):
+    parts = raw.split(",") if "=" in raw else [f"brute_force={raw}"]
+    for part in parts:
         part = part.strip()
         if not part:
             continue
@@ -51,6 +53,10 @@ def _parse_env(raw: str) -> dict:
                 f"HYPERCHROM_BUDGET: unknown cap {key!r} (known: {', '.join(sorted(DEFAULT_CAPS))})"
             )
         overrides[key] = _parse_int(value.strip())
+    if overrides.get("brute_force", 0) >= 2**63:
+        # coloring counts are int64, and k^n stays below this cap
+        cap = overrides["brute_force"]
+        raise InputError(f"HYPERCHROM_BUDGET: brute_force must be below 2^63, got {cap}")
     return overrides
 
 
@@ -63,7 +69,7 @@ def _parse_int(text: str) -> int:
             value = float(text)
         except ValueError:
             raise InputError(f"HYPERCHROM_BUDGET: not a number: {text!r}") from None
-        if value != int(value):
+        if not value.is_integer():
             raise InputError(f"HYPERCHROM_BUDGET: not an integer: {text!r}")
         return int(value)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import budget
 from .errors import InputError
-from .hypercore import EdgeSubset, Hypergraph, _add_block, require_valid
+from .hypercore import EdgeSubset, Hypergraph, _add_block, _edge_indices, require_valid
 
 __all__ = [
     "DeltaCycleCatalog",
@@ -55,9 +55,10 @@ def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
     A proper subset meeting the condition would hold a delta-cycle, so F
     qualifies exactly when the catalog of its own edges is F alone.  That
     catalog is built under the nb_edges cap, so an F with more edges than
-    the cap is refused whatever its answer would be.
+    the cap is refused whatever its answer would be, as is a label of F
+    outside 1..m.
     """
-    own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[lab - 1] for lab in F.labels]))
+    own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[i] for i in _edge_indices(H.m, F)]))
     return [cyc.mask for cyc in own.cycles] == [(1 << F.size) - 1]
 
 

@@ -68,11 +68,11 @@ class EdgeSubset:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.m) if self.mask >> i & 1)
+        return tuple(i + 1 for i in _set_bits(self.mask))
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __len__(self) -> int:
         return self.size
@@ -267,16 +267,34 @@ def _subset_blocks(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> tuple[list[i
     1..m; repeated labels are harmless.
     """
     require_valid(H)
-    m = H.m
     vmasks = H.edge_vertex_masks()
     blocks: list[int] = []
     covered = 0
-    for lab in A.labels if isinstance(A, EdgeSubset) else A:
+    for i in _edge_indices(H.m, A):
+        blocks = _add_block(blocks, vmasks[i])
+        covered |= vmasks[i]
+    return blocks, covered
+
+
+def _edge_indices(m: int, A: EdgeSubset | Iterable[int]) -> Iterator[int]:
+    """The 0-based edge indices of A, refusing a label outside 1..m."""
+    if isinstance(A, EdgeSubset):
+        if not A.mask >> m:
+            yield from _set_bits(A.mask)
+            return
+        A = A.labels
+    for lab in A:
         if not 1 <= lab <= m:
             raise InputError(f"edge label {lab} outside 1..{m}")
-        blocks = _add_block(blocks, vmasks[lab - 1])
-        covered |= vmasks[lab - 1]
-    return blocks, covered
+        yield lab - 1
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _add_block(blocks: list[int], mask: int) -> list[int]:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, nb_subsets
 from .errors import InputError
-from .hypercore import EdgeSubset, Hypergraph, _subset_blocks, require_valid
+from .hypercore import EdgeSubset, Hypergraph, _set_bits, _subset_blocks, require_valid
 
 __all__ = [
     "ListAssignment",
@@ -172,13 +172,10 @@ def beta(H: Hypergraph, L: ListAssignment, A: EdgeSubset | Iterable[int]) -> int
     blocks, covered = _subset_blocks(H, A)
     prod = 1
     for block in blocks:
-        v = block.bit_length()  # the block's vertices, highest first
-        common = set(L.lists[v])
-        block ^= 1 << (v - 1)
-        while block:
-            v = block.bit_length()
-            common.intersection_update(L.lists[v])
-            block ^= 1 << (v - 1)
+        vertices = _set_bits(block)
+        common = set(L.lists[next(vertices) + 1])
+        for v in vertices:
+            common.intersection_update(L.lists[v + 1])
         prod *= len(common)
     return prod * L.k ** (H.n - covered.bit_count())
 

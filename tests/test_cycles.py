@@ -107,6 +107,12 @@ class TestIsDeltaCycle:
         assert not is_delta_cycle(path, path.subset([1, 2, 3]))
         assert not is_delta_cycle(square, square.subset([1, 2, 3]))
 
+    def test_label_beyond_instance_refused(self, tri):
+        # the label check components makes, not an IndexError from the edge list
+        with pytest.raises(InputError, match="edge label 5 outside 1..3"):
+            is_delta_cycle(tri, EdgeSubset(5, [1, 2, 5]))
+        assert is_delta_cycle(tri, EdgeSubset(5, [1, 2, 3]))
+
     def test_no_two_edge_cycle_exists(self):
         # each edge must sit inside the union of the others; with two
         # incomparable edges that is impossible

@@ -174,6 +174,14 @@ class TestComponents:
         with pytest.raises(InputError):
             components(e2, [3])
 
+    def test_bad_label_in_subset_names_the_lowest(self, e2):
+        # a subset built for more edges: the first label past m is named,
+        # as for a label list in increasing order
+        for A in (EdgeSubset(9, [1, 4, 7]), [1, 4, 7]):
+            with pytest.raises(InputError, match="edge label 4 outside 1..2"):
+                components(e2, A)
+        assert components(e2, EdgeSubset(9, [2])) == 3
+
 
 class TestStatistics:
     def test_rho(self, e2, tri, matching2):

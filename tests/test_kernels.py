@@ -8,6 +8,7 @@ bounds come from the expansion and the exact corollary bounds.
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hyperchrom import (
     scan_assignments_one_extra_color,
     uniformity,
 )
-from hyperchrom import _kernels, listcolor
+from hyperchrom import _kernels, bounds, listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 
@@ -193,6 +194,37 @@ def test_chunk_boundaries(e2, monkeypatch):
 
 
 class TestScanWidth:
+    def test_products_past_int64_counted_exactly(self):
+        # all 15 4-subsets of 6 points at k = 10: diff times the bound's
+        # denominator reaches about 2^66, which an int64 test miscounted
+        H = Hypergraph(6, list(itertools.combinations(range(1, 7), 4)))
+        res = scan_assignments_one_extra_color(H, 10)
+        assert res["checked"] == 11**6 - 11  # alpha = 0 only when all six omit one color
+        assert res["viol_linear"] == res["checked"]
+        assert res["viol_uniform"] == 0
+
+    def test_threshold_table_matches_fractions(self):
+        rng = random.Random(5)
+        fracs = [
+            cor_uniform_rhs_exact(20, 1, 50),
+            cor_linear_rhs_exact(30, 4, 61),
+            Fraction(-(2**70) - 1, 2**64 + 3),
+            Fraction(2**65 + 7, 3**41),
+            Fraction(0),
+        ]
+        assert any(f.numerator > 2**62 and f.denominator > 2**62 for f in fracs)
+        for frac in fracs:
+            for big_k, limit in ((7**5, 7**9 + 1), (1, 2**62 + 1), (3**30, 2**63 - 1)):
+                thr = bounds._threshold_table(frac, big_k, 40, limit)
+                assert thr.dtype == np.int64 and len(thr) == 41
+                for a in range(41):
+                    exact = frac * big_k * a
+                    t = int(thr[a])
+                    near = {0, t - 1, t, t + 1, 1 - limit, limit - 1}
+                    for diff in near | {rng.randrange(1 - limit, limit)}:
+                        if abs(diff) < limit:
+                            assert (diff < t) == (diff < exact), (frac, big_k, a, diff)
+
     def test_large_k_needs_no_popcount_table(self, e1):
         # k + 1 = 41 colors: a 2^41 lookup table would not fit in memory
         assert scan_assignments_one_extra_color(e1, 40) == oracle_scan(e1, 40)

@@ -75,16 +75,18 @@ def _check_walk(H, eta, k=2):
     assert chromatic_polynomial(H, eta=eta, catalog=catalog) == poly
     assert bounds._even_edge_table(catalog, eta) == even
 
-    members, p_k, prop_s = bounds._member_table(catalog, eta, k)
-    got = sorted((sign, tuple(map(tuple, comps))) for sign, comps in members)
+    members, p_k = bounds._member_table(catalog, eta, k)
+    got = sorted((weight, tuple(sorted(map(tuple, blocks)))) for weight, blocks in members)
     want = []
     for mask, size, comps in oracle:
         partition = _oracle_partition(H, mask)
         assert len(partition) == comps
-        want.append(((-1) ** size, partition))
+        singletons = sum(len(part) == 1 for part in partition)
+        blocks = tuple(part for part in partition if len(part) > 1)
+        want.append(((-1) ** size * k**singletons, blocks))
     assert got == sorted(want)
     assert p_k == poly.eval(k)
-    assert prop_s.tolist() == [
+    assert bounds._even_weights(even, k) == [
         sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in even
     ]
 
