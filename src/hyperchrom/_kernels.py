@@ -104,7 +104,7 @@ def coloring_counts(H, k, values=None):
     return counts
 
 
-def omit_pattern_scan(H, num_colors, members, p_k, prop_big_k, prop_s, thr_u, thr_l, gap_scaled):
+def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_scaled):
     """Walk every omit pattern of a num_colors universe; count bound violations.
 
     members lists (weight, block vertex lists) per NB(H) member, vertices
@@ -112,8 +112,9 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_big_k, prop_s, thr_u, th
     vertices share.  Digit v of a pattern is the color vertex v omits, kept
     as the bit 1 << digit, so num_colors must stay at most 63.  A pattern
     with diff = P(H, L) - p_k and alpha = sum of alpha_e violates the per-edge
-    bound when diff < sum alpha_e * (prop_big_k - prop_s[e]), and a
-    corollary bound when diff < thr[alpha] (thr_u, thr_l; None skips one).
+    bound when diff < sum alpha_e * prop_c[e] (prop_c[e] = k^(n-r) minus edge
+    e's even-member weight), and a corollary bound when diff < thr[alpha]
+    (thr_u, thr_l; None skips one).
     Returns (checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
     edges = _edges(H)
@@ -153,7 +154,7 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_big_k, prop_s, thr_u, th
         diff = p_l - p_k
         rhs = np.zeros(cnt, dtype=np.int64)
         for e in range(m):
-            rhs += alpha_e[e] * (prop_big_k - prop_s[e])
+            rhs += alpha_e[e] * prop_c[e]
         checked += int(sel.sum())
         viol_prop += int((sel & (diff < rhs)).sum())
         if thr_u is not None:

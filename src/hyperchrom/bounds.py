@@ -781,7 +781,7 @@ def scan_assignments_one_extra_color(
     catalog = _catalog_for(H, catalog)
     members, p_k = _member_table(catalog, eta, k)
     big_k = k ** (H.n - r)
-    prop_s = _even_weights(_even_edge_table(catalog, eta), k)
+    prop_c = [big_k - w for w in _even_weights(_even_edge_table(catalog, eta), k)]
 
     # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
     top, limit = H.m * (r - 1), k**H.n + 1
@@ -794,7 +794,7 @@ def scan_assignments_one_extra_color(
             thr_l = _threshold_table(cor_linear_rhs_exact(H.m, r, k), big_k, top, limit)
 
     checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
-        H, k + 1, members, p_k, big_k, prop_s, thr_u, thr_l, float(gap_factor * big_k)
+        H, k + 1, members, p_k, prop_c, thr_u, thr_l, float(gap_factor * big_k)
     )
     return {
         "checked": checked,

@@ -18,7 +18,6 @@ Cap names:
 
 from __future__ import annotations
 
-import functools
 import os
 
 from .errors import BudgetExceededError, InputError
@@ -32,9 +31,7 @@ DEFAULT_CAPS = {
 }
 
 
-@functools.lru_cache(maxsize=8)
 def _parse_env(raw: str) -> dict:
-    """The caps a HYPERCHROM_BUDGET value sets; callers must not change the dict."""
     raw = raw.strip()
     if not raw:
         return {}
@@ -90,9 +87,12 @@ def check_cap(name: str, required: int, what: str) -> None:
     """Refuse with a required-budget report when ``required`` exceeds the cap."""
     cap = get_cap(name)
     if required > cap:
+        if name == "brute_force" and required >= 2**63:
+            hint = "past the int64 limit 2^63, which no cap can raise"
+        else:
+            hint = f"rerun with HYPERCHROM_BUDGET={name}={required}"
         raise BudgetExceededError(
-            f"{what} needs {required} but cap {name}={cap}; "
-            f"rerun with HYPERCHROM_BUDGET={name}={required}",
+            f"{what} needs {required} but cap {name}={cap}; {hint}",
             cap_name=name,
             cap_value=cap,
             required=required,

@@ -1,8 +1,8 @@
-"""The HYPERCHROM_BUDGET override: parsing, its cache and the int64 limit."""
+"""The HYPERCHROM_BUDGET override: parsing and the int64 limit."""
 
 import pytest
 
-from hyperchrom import InputError, budget
+from hyperchrom import BudgetExceededError, InputError, budget
 
 
 class TestOverride:
@@ -17,7 +17,6 @@ class TestOverride:
             assert budget.get_cap(name) == want
 
     def test_each_new_value_is_seen(self, monkeypatch):
-        # the parse is cached on the raw string, not on the first value read
         for cap in (10, 20, 10, 30):
             monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={cap}")
             assert budget.get_cap("brute_force") == cap
@@ -28,10 +27,24 @@ class TestOverride:
     )
     def test_refused(self, monkeypatch, raw):
         monkeypatch.setenv("HYPERCHROM_BUDGET", raw)
-        for _ in range(2):  # a refusal is not cached away
-            with pytest.raises(InputError, match="HYPERCHROM_BUDGET"):
-                budget.get_cap("nb_edges")
+        with pytest.raises(InputError, match="HYPERCHROM_BUDGET"):
+            budget.get_cap("nb_edges")
 
     def test_largest_int64_cap_accepted(self, monkeypatch):
         monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={2**63 - 1}")
         assert budget.get_cap("brute_force") == 2**63 - 1
+
+
+class TestRefusalHint:
+    def test_rerun_hint_names_an_accepted_cap(self, monkeypatch):
+        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError, match=f"HYPERCHROM_BUDGET=brute_force={2**63 - 1}"):
+            budget.check_cap("brute_force", 2**63 - 1, "count")
+
+    def test_no_rerun_hint_past_int64(self, monkeypatch):
+        # 63^11 colorings: a cap that large is refused, so no rerun can help
+        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError, match="2\\^63") as info:
+            budget.check_cap("brute_force", 63**11, "assignment scan")
+        assert "rerun" not in str(info.value)
+        assert info.value.required == 63**11
