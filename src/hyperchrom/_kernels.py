@@ -1,10 +1,10 @@
 """Array kernels: the brute-force counters and the one-extra-color scan.
 
-Every kernel runs vectorized numpy on chunked index ranges: colorings and
-omit patterns are numbered in mixed radix, a chunk of numbers is decoded
-into a digit table, and each edge is tested on the whole chunk at once.
-The walk over NB(H) is not a kernel; it runs on Python ints in
-``cycles.py``.
+Every kernel runs vectorized numpy on digit tables: colorings and omit
+patterns are numbered in one radix, ``_digit_tables`` yields their digits
+a table of radix^j numbers at a time, and each edge is tested on the whole
+table at once.  The walk over NB(H) is not a kernel; it runs on Python ints
+in ``cycles.py``.
 
 Kernels take the hypergraph and read its edges through ``_edges``, which
 refuses an invalid instance once and caches the 0-based vertex tuples.
@@ -13,12 +13,14 @@ coloring count, P(H, L), P(H, k) and their difference fits in int64.  A
 member's term in the scan is at most k^n in size; a running sum that wraps
 ends exact, since its total fits.  The corollary bounds arrive as exact
 integer tables clipped to +-(k^n + 1).  The per-edge bound's sum is formed
-in int64 and is exact only while it fits: below 2^60 at the default caps,
-not assured under raised ones.  The CSR encoders at the bottom serve the
-benchmark only; no kernel reads them.
+in int64; the scan's caller refuses an instance where (r - 1) times the sum
+of |prop_c[e]| reaches 2^63, so it is exact.  The CSR encoders at the
+bottom serve the benchmark only; no kernel reads them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -49,18 +51,23 @@ def _edges(H) -> list[tuple[int, ...]]:
     return H._cache[key]
 
 
-def _digit_table(radices, lo, hi, out=None):
-    """Mixed-radix digits of lo..hi-1, vertex-major: digit v varies slowest
-    for v = 0.  Returns int64 array of shape (len(radices), hi - lo), written
-    into out when given."""
-    n = len(radices)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digs = np.empty((n, hi - lo), dtype=np.int64) if out is None else out
-    tmp = idx
-    for v in range(n - 1, -1, -1):
-        digs[v] = tmp % radices[v]
-        tmp = tmp // radices[v]
-    return digs
+def _digit_tables(radix, n):
+    """The radix-ary digits of 0..radix^n - 1 in order, vertex-major (digit v
+    varies slowest for v = 0), as int64 tables of shape (n, radix^j).
+
+    radix^j is the largest power of the radix within max(_CHUNK, radix) with
+    j <= n, and 1 for radix 0 or 1.  The low j rows are built once; the high
+    n - j rows are constant within a table.  Every table is the same buffer,
+    overwritten by the next one.
+    """
+    width, j = 1, 0
+    while j < n and 1 < radix and width * radix <= max(_CHUNK, radix):
+        width, j = width * radix, j + 1
+    table = np.empty((n, width), dtype=np.int64)
+    table[n - j :] = np.indices((radix,) * j).reshape(j, width)
+    for high in itertools.product(range(radix), repeat=n - j):
+        table[: n - j] = np.array(high, dtype=np.int64)[:, None]
+        yield table
 
 
 def _monochromatic(colors, edges):
@@ -85,22 +92,14 @@ def coloring_counts(H, k, values=None):
     when values is None.
     """
     edges = _edges(H)
-    n = H.n
-    total = int(k) ** n
     batch = 1 if values is None else values.shape[0]
     counts = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    step = max(1, min(total, _CHUNK))  # colorings per step
-    bstep = max(1, _CHUNK // max(1, n * step))  # assignments per step, about _CHUNK colors
-    # one digit table reused by every step; a fresh one per step made the
-    # list path fault its pages in again on every step
-    table = np.empty((n, step), dtype=np.int64)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        digits = _digit_table([k] * n, lo, hi, table[:, : hi - lo])
+    rows = np.arange(H.n)[:, None]
+    for digits in _digit_tables(int(k), H.n):
+        bstep = max(1, _CHUNK // max(1, digits.size))  # assignments per step, about _CHUNK colors
         for blo in range(0, batch, bstep):
             colors = digits if values is None else values[blo : blo + bstep, rows, digits]
-            counts[blo : blo + bstep] += (hi - lo) - _monochromatic(colors, edges).sum(axis=-1)
+            counts[blo : blo + bstep] += digits.shape[1] - _monochromatic(colors, edges).sum(axis=-1)
     return counts
 
 
@@ -118,19 +117,16 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
     Returns (checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
     edges = _edges(H)
-    n, m = H.n, len(edges)
-    total = int(num_colors) ** int(n)
+    m = len(edges)
     checked = 0
     viol_prop = 0
     viol_u = 0
     viol_l = 0
     viol_gap = 0
     min_gap_margin = 1e300
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        cnt = hi - lo
-        bm = np.left_shift(np.int64(1), _digit_table([num_colors] * n, lo, hi))
-        alpha_e = np.empty((m, cnt), dtype=np.int64)
+    for digits in _digit_tables(int(num_colors), H.n):
+        bm = np.left_shift(np.int64(1), digits)
+        alpha_e = np.empty((m, digits.shape[1]), dtype=np.int64)
         for e, vs in enumerate(edges):
             om = bm[vs[0]].copy()
             for u in vs[1:]:
@@ -141,9 +137,9 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
         sel = alpha > 0
         if not sel.any():
             continue
-        p_l = np.zeros(cnt, dtype=np.int64)
+        p_l = np.zeros_like(alpha)
         for weight, blocks in members:
-            prod = np.full(cnt, weight, dtype=np.int64)
+            prod = np.full_like(alpha, weight)
             for vlist in blocks:
                 om = bm[vlist[0]].copy()
                 for u in vlist[1:]:
@@ -152,7 +148,7 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
                 prod *= num_colors - np.bitwise_count(om)
             p_l += prod
         diff = p_l - p_k
-        rhs = np.zeros(cnt, dtype=np.int64)
+        rhs = np.zeros_like(alpha)
         for e in range(m):
             rhs += alpha_e[e] * prop_c[e]
         checked += int(sel.sum())

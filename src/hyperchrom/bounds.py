@@ -756,7 +756,8 @@ def scan_assignments_one_extra_color(
 
     Returns counts: checked, viol_prop, viol_uniform, viol_linear,
     viol_gap, and min_gap_margin (None when no pattern was checked or no
-    gap was requested).  Refuses k > 62 on nonempty instances.
+    gap was requested).  Refuses k > 62 on nonempty instances, and an
+    instance whose per-edge bound could pass int64.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -782,6 +783,9 @@ def scan_assignments_one_extra_color(
     members, p_k = _member_table(catalog, eta, k)
     big_k = k ** (H.n - r)
     prop_c = [big_k - w for w in _even_weights(_even_edge_table(catalog, eta), k)]
+    if (r - 1) * sum(abs(c) for c in prop_c) >= 2**63:
+        # each alpha_e is at most r - 1, so the kernel's int64 per-edge sum stays exact
+        raise InputError("assignment scan: the per-edge bound's sum may pass 2^63")
 
     # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
     top, limit = H.m * (r - 1), k**H.n + 1

@@ -223,24 +223,21 @@ def _canonical_assignments(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ..
     the constant assignment {1..k}^n comes first.
     """
     lists: list[tuple[int, ...]] = [()] * n
-    first = tuple(range(1, k + 1))
+    # per count of colors used so far, the k-subsets whose fresh colors come next
+    options: dict[int, list[tuple[int, ...]]] = {}
 
     def rec(v: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if v == n:
             yield tuple(lists)
             return
-        for subset in combinations(range(1, used + k + 1), k):
-            fresh = [a for a in subset if a > used]
-            if fresh and fresh != list(range(used + 1, used + len(fresh) + 1)):
-                continue
+        if used not in options:
+            subsets = combinations(range(1, used + k + 1), k)
+            options[used] = [s for s in subsets if s[-1] - used <= sum(a > used for a in s)]
+        for subset in options[used]:
             lists[v] = subset
-            yield from rec(v + 1, used + len(fresh))
+            yield from rec(v + 1, max(used, subset[-1]))
 
-    if n == 0:
-        yield ()
-        return
-    lists[0] = first
-    yield from rec(1, k)
+    yield from rec(0, 0)
 
 
 def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignment]:

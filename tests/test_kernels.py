@@ -183,6 +183,22 @@ class TestKernelParity:
                     assert got == oracle_scan(H, k, gap_factor), (H.edges, k, gap_factor)
 
 
+@pytest.mark.parametrize("chunk", [7, 64, None])
+def test_digit_tables(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    for radix, top in [(radix, 5) for radix in range(5)] + [(41, 3)]:
+        for n in range(top + 1):
+            # one buffer is reused, so copy each table as it comes
+            tables = [t.copy() for t in _kernels._digit_tables(radix, n)]
+            want = np.array(list(itertools.product(range(radix), repeat=n)), dtype=np.int64)
+            got = np.concatenate(tables, axis=1) if tables else np.empty((n, 0), dtype=np.int64)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.reshape(radix**n, n).T), (radix, n)
+            widths = {t.shape[1] for t in tables}
+            assert len(widths) <= 1 and all(w <= max(_kernels._CHUNK, radix) for w in widths)
+
+
 def test_chunk_boundaries(e2, monkeypatch):
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
     assert [count_proper_colorings(e2, k) for k in range(5)] == [
@@ -228,6 +244,12 @@ class TestScanWidth:
     def test_large_k_needs_no_popcount_table(self, e1):
         # k + 1 = 41 colors: a 2^41 lookup table would not fit in memory
         assert scan_assignments_one_extra_color(e1, 40) == oracle_scan(e1, 40)
+
+    def test_per_edge_sum_past_int64_refused(self, e2, monkeypatch):
+        # alpha_e <= 2 and two edges with k^(n-r) - w_e near -2^62: the sum could reach 2^63
+        monkeypatch.setattr(bounds, "_even_weights", lambda table, k: [2**62] * len(table))
+        with pytest.raises(InputError):
+            scan_assignments_one_extra_color(e2, 2)
 
     def test_k_beyond_int64_bitmasks_refused(self, e1):
         with pytest.raises(InputError):

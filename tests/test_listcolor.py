@@ -1,5 +1,6 @@
 """List assignments, the expansion route, and the exact list-color function."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from hyperchrom import (
     list_color_function_exact,
     list_color_function_search,
 )
+from hyperchrom import listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 L1 = ListAssignment(2, {1: [1, 2], 2: [1, 2], 3: [2, 3]})
@@ -148,6 +150,22 @@ class TestListColorFunction:
         H = Hypergraph(4, [(1, 2), (3, 4)])
         value, witness = list_color_function_exact(H, 2)
         assert count_L_colorings(H, witness) == value
+
+    def test_canonical_assignments_match_filtered_product(self):
+        def canonical(lists):
+            # each list's fresh colors are the next ones after those used so far
+            used = 0
+            for s in lists:
+                fresh = [a for a in s if a > used]
+                if fresh != list(range(used + 1, used + len(fresh) + 1)):
+                    return False
+                used += len(fresh)
+            return True
+
+        for n, k in ((0, 2), (1, 3), (2, 1), (2, 3), (2, 4), (3, 2), (4, 1), (6, 1)):
+            pool = itertools.combinations(range(1, n * k + 1), k)
+            want = sorted(filter(canonical, itertools.product(pool, repeat=n)))
+            assert list(listcolor._canonical_assignments(n, k)) == want, (n, k)
 
     def test_budget_refusal(self, e2):
         # n * k = 15 exceeds the default exact cap of 12
