@@ -2,9 +2,9 @@
 
 Every kernel runs vectorized numpy on digit tables: colorings and omit
 patterns are numbered in one radix, ``_digit_tables`` yields their digits
-a table of radix^j numbers at a time, and each edge is tested on the whole
-table at once.  The walk over NB(H) is not a kernel; it runs on Python ints
-in ``cycles.py``.
+a table of at most _CHUNK numbers at a time, and each edge is tested on the
+whole table at once.  The walk over NB(H) is not a kernel; it runs on Python
+ints in ``cycles.py``.
 
 Kernels take the hypergraph and read its edges through ``_edges``, which
 refuses an invalid instance once and caches the 0-based vertex tuples.
@@ -19,8 +19,6 @@ bottom serve the benchmark only; no kernel reads them.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -53,21 +51,23 @@ def _edges(H) -> list[tuple[int, ...]]:
 
 def _digit_tables(radix, n):
     """The radix-ary digits of 0..radix^n - 1 in order, vertex-major (digit v
-    varies slowest for v = 0), as int64 tables of shape (n, radix^j).
-
-    radix^j is the largest power of the radix within max(_CHUNK, radix) with
-    j <= n, and 1 for radix 0 or 1.  The low j rows are built once; the high
-    n - j rows are constant within a table.  Every table is the same buffer,
-    overwritten by the next one.
-    """
+    varies slowest for v = 0), as int64 views of one buffer of at most _CHUNK
+    columns.  The low j digits, radix^j the largest power within _CHUNK, are
+    built once; each table repeats them under s consecutive values of the
+    high digits, as many as fit, which are decoded per table."""
     width, j = 1, 0
-    while j < n and 1 < radix and width * radix <= max(_CHUNK, radix):
+    while j < n and 1 < radix and width * radix <= _CHUNK:
         width, j = width * radix, j + 1
-    table = np.empty((n, width), dtype=np.int64)
-    table[n - j :] = np.indices((radix,) * j).reshape(j, width)
-    for high in itertools.product(range(radix), repeat=n - j):
-        table[: n - j] = np.array(high, dtype=np.int64)[:, None]
-        yield table
+    top = radix ** (n - j)
+    s = max(1, min(top, _CHUNK // width))
+    table = np.empty((n, s, width), dtype=np.int64)
+    table[n - j :] = np.indices((radix,) * j).reshape(j, 1, width)
+    for lo in range(0, top, s):
+        high = np.arange(lo, min(lo + s, top), dtype=np.int64)
+        for v in range(n - j - 1, -1, -1):
+            table[v, : high.size] = (high % radix)[:, None]
+            high //= radix
+        yield table[:, : high.size].reshape(n, high.size * width)
 
 
 def _monochromatic(colors, edges):
