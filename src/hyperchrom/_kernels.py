@@ -1,21 +1,29 @@
 """Array kernels: the brute-force counters and the one-extra-color scan.
 
-Every kernel runs vectorized numpy on digit tables: colorings and omit
-patterns are numbered in one radix, ``_digit_tables`` yields their digits
-a table of at most _CHUNK numbers at a time, and each edge is tested on the
-whole table at once.  The walk over NB(H) is not a kernel; it runs on Python
-ints in ``cycles.py``.
+Every kernel runs vectorized numpy on tables of rows, and each edge is
+tested on a whole table at once.  The brute-force counter numbers its
+colorings in one radix, and ``_digit_tables`` yields their digits a table
+of at most _CHUNK numbers at a time.  The scan and the exact list-color
+function walk one row per color-renaming class: ``_orbit_rows`` grows the
+rows a vertex at a time from per-state option lists, in depth-first
+lexicographic order.  For the scan a row is a restricted growth string, a
+set partition of the vertices into at most num_colors blocks, and it
+counts for the (num_colors)_j omit patterns (j its block count) that
+rename to it.  The walk over NB(H) is not a kernel; it runs on Python ints
+in ``cycles.py``.
 
 Kernels take the hypergraph and read its edges through ``_edges``, which
 refuses an invalid instance once and caches the 0-based vertex tuples.
 Width: the brute_force cap stays below 2^63 and bounds k^n, so every
-coloring count, P(H, L), P(H, k) and their difference fits in int64.  A
-member's term in the scan is at most k^n in size; a running sum that wraps
-ends exact, since its total fits.  The corollary bounds arrive as exact
-integer tables clipped to +-(k^n + 1).  The per-edge bound's sum is formed
-in int64; the scan's caller refuses an instance where (r - 1) times the sum
-of |prop_c[e]| reaches 2^63, so it is exact.  The CSR encoders at the
-bottom serve the benchmark only; no kernel reads them.
+coloring count, P(H, L), P(H, k) and their difference fits in int64, and so
+does the scan's orbit weight (num_colors)_j <= num_colors^n and each weighted
+count, whose total is num_colors^n.  A member's term in the scan is at
+most k^n in size; a running sum that wraps ends exact, since its total
+fits.  The corollary bounds arrive as exact integer tables clipped to
++-(k^n + 1).  The per-edge bound's sum is formed in int64; the scan's
+caller refuses an instance where (r - 1) times the sum of |prop_c[e]|
+reaches 2^63, so it is exact.  The CSR encoders at the bottom serve the
+benchmark only; no kernel reads them.
 """
 
 from __future__ import annotations
@@ -70,6 +78,68 @@ def _digit_tables(radix, n):
         yield table[:, : high.size].reshape(n, high.size * width)
 
 
+def _orbit_rows(n, options, limit):
+    """Every row of n values that options allow, in depth-first lexicographic order.
+
+    options[state] lists (value tuple, next state) in order: vertex 0 starts
+    in state 0, and each vertex takes one value of its state and hands the
+    next state on.  Rows grow a vertex at a time, np.repeat copying each
+    parent once per option, so one parent's children stay together and in
+    option order.  Where a level would pass max(limit, longest option list)
+    rows, its parents split into contiguous ranges walked one after another,
+    so no table is larger.  Yields (rows, final states): rows int64 of shape
+    (count, n, value width), final states int64 of shape (count,).
+    """
+    size = np.array([len(opts) for opts in options], dtype=np.int64)
+    bound = max(limit, int(size.max()))
+    width = len(options[0][0][0])
+    value = np.zeros((len(options), int(size.max()), width), dtype=np.int64)
+    after = np.zeros(value.shape[:2], dtype=np.int64)
+    for state, opts in enumerate(options):
+        value[state, : len(opts)] = [vals for vals, _ in opts]
+        after[state, : len(opts)] = [nxt for _, nxt in opts]
+
+    def grow(v, rows, states):
+        if v == n:
+            yield rows, states
+            return
+        count = size[states]
+        ends = np.cumsum(count)
+        starts = ends - count
+        lo = 0
+        while lo < states.size:
+            hi = int(np.searchsorted(ends, starts[lo] + bound, side="right"))
+            parent = np.repeat(np.arange(lo, hi), count[lo:hi])
+            option = np.arange(parent.size) - np.repeat(starts[lo:hi] - starts[lo], count[lo:hi])
+            st = states[parent]
+            child = rows[parent]
+            child[:, v] = value[st, option]
+            yield from grow(v + 1, child, after[st, option])
+            lo = hi
+
+    yield from grow(0, np.zeros((1, n, width), dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+
+def _partitions(n, num_colors):
+    """The set partitions of n vertices into at most num_colors blocks, with weights.
+
+    Yields (digits, weight) per table of at most _CHUNK partitions: digits
+    (n, count) int64 holds each partition as a restricted growth string
+    (vertex v's block, numbered by first appearance), and weight (count,)
+    the (num_colors)_j omit patterns whose colors rename to it, j its block
+    count.  The weights stop at min(n, num_colors) blocks, so each is at
+    most num_colors^n.
+    """
+    top = min(n, num_colors)
+    options = [[((d,), max(j, d + 1)) for d in range(min(j + 1, num_colors))] for j in range(top + 1)]
+    falling = [1]
+    for j in range(top):
+        falling.append(falling[-1] * (num_colors - j))
+    weights = np.array(falling, dtype=np.int64)
+    for rows, blocks in _orbit_rows(n, options, _CHUNK):
+        yield rows[:, :, 0].T, weights[blocks]
+
+
 def _monochromatic(colors, edges):
     """True where some edge is monochromatic; colors is (..., n, count)."""
     bad = np.zeros(colors.shape[:-2] + colors.shape[-1:], dtype=bool)
@@ -104,7 +174,7 @@ def coloring_counts(H, k, values=None):
 
 
 def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_scaled):
-    """Walk every omit pattern of a num_colors universe; count bound violations.
+    """Check every omit pattern of a num_colors universe; count bound violations.
 
     members lists (weight, block vertex lists) per NB(H) member, vertices
     0-based: the member adds weight times, per block, the colors its
@@ -113,7 +183,10 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
     with diff = P(H, L) - p_k and alpha = sum of alpha_e violates the per-edge
     bound when diff < sum alpha_e * prop_c[e] (prop_c[e] = k^(n-r) minus edge
     e's even-member weight), and a corollary bound when diff < thr[alpha]
-    (thr_u, thr_l; None skips one).
+    (thr_u, thr_l; None skips one).  Renaming the colors changes none of
+    these numbers, so the walk takes one pattern per renaming class, a set
+    partition from ``_partitions``, and adds its orbit size to checked and
+    to each violation count; min_gap_margin is a minimum over the classes.
     Returns (checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
     edges = _edges(H)
@@ -124,7 +197,7 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
     viol_l = 0
     viol_gap = 0
     min_gap_margin = 1e300
-    for digits in _digit_tables(int(num_colors), H.n):
+    for digits, orbit in _partitions(H.n, int(num_colors)):
         bm = np.left_shift(np.int64(1), digits)
         alpha_e = np.empty((m, digits.shape[1]), dtype=np.int64)
         for e, vs in enumerate(edges):
@@ -151,16 +224,16 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
         rhs = np.zeros_like(alpha)
         for e in range(m):
             rhs += alpha_e[e] * prop_c[e]
-        checked += int(sel.sum())
-        viol_prop += int((sel & (diff < rhs)).sum())
+        checked += int(orbit[sel].sum())
+        viol_prop += int(orbit[sel & (diff < rhs)].sum())
         if thr_u is not None:
-            viol_u += int((sel & (diff < thr_u[alpha])).sum())
+            viol_u += int(orbit[sel & (diff < thr_u[alpha])].sum())
         if thr_l is not None:
-            viol_l += int((sel & (diff < thr_l[alpha])).sum())
+            viol_l += int(orbit[sel & (diff < thr_l[alpha])].sum())
         if gap_scaled > 0.0:
             margins = diff - gap_scaled * alpha
             min_gap_margin = min(min_gap_margin, float(margins[sel].min()))  # sel has a pattern
-            viol_gap += int((sel & (margins <= 0.0)).sum())
+            viol_gap += int(orbit[sel & (margins <= 0.0)].sum())
     return checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin
 
 

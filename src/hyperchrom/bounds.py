@@ -747,15 +747,16 @@ def scan_assignments_one_extra_color(
 
     Every assignment whose lists sit inside a (k+1)-color universe omits
     exactly one color per vertex, so the full space is the (k+1)^n omit
-    patterns; the scan walks all of them and, on each with alpha > 0,
+    patterns.  Renaming colors changes no number checked, so the scan
+    walks one pattern per renaming class and, on each with alpha > 0,
     verifies in exact integers that P(H, L) - P(H, k) is at least the
     per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs times
     k^(n-r) * alpha when those checks are requested.  A positive
     gap_factor additionally tracks the strict margin
     P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.
 
-    Returns counts: checked, viol_prop, viol_uniform, viol_linear,
-    viol_gap, and min_gap_margin (None when no pattern was checked or no
+    Returns counts, each pattern counted with multiplicity: checked,
+    viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin (None when no pattern was checked or no
     gap was requested).  Refuses k > 62 on nonempty instances, and an
     instance whose per-edge bound could pass int64.
     """

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -210,8 +210,8 @@ def count_L_colorings_expansion(
     return total
 
 
-def _canonical_assignments(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield one list-tuple per color-renaming class, possibly more.
+def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per count of colors used so far, the lists a vertex may take next.
 
     P(H, L) only depends on L through which lists share which colors, so
     colors may be renamed freely.  Renaming by first appearance turns any
@@ -219,25 +219,15 @@ def _canonical_assignments(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ..
     picks its colors from those already used plus a consecutive block of
     fresh ones.  Every assignment has at least one such form, and every
     such form is a valid assignment, which is all a minimization needs.
-    The walk is depth-first over vertices, lexicographic per vertex, so
-    the constant assignment {1..k}^n comes first.
+    options[used] lists, in lexicographic order, (k-subset, colors used
+    after it) for ``_kernels._orbit_rows``, whose walk then starts from the
+    constant assignment {1..k}^n.
     """
-    lists: list[tuple[int, ...]] = [()] * n
-    # per count of colors used so far, the k-subsets whose fresh colors come next
-    options: dict[int, list[tuple[int, ...]]] = {}
-
-    def rec(v: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if v == n:
-            yield tuple(lists)
-            return
-        if used not in options:
-            subsets = combinations(range(1, used + k + 1), k)
-            options[used] = [s for s in subsets if s[-1] - used <= sum(a > used for a in s)]
-        for subset in options[used]:
-            lists[v] = subset
-            yield from rec(v + 1, max(used, subset[-1]))
-
-    yield from rec(0, 0)
+    options = []
+    for used in range((n - 1) * k + 1):
+        subsets = combinations(range(1, used + k + 1), k)
+        options.append([(s, max(used, s[-1])) for s in subsets if s[-1] - used <= sum(a > used for a in s)])
+    return options
 
 
 def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignment]:
@@ -261,12 +251,11 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
     best, best_lists = -1, None
-    candidates = _canonical_assignments(n, k)
-    while batch := list(islice(candidates, _BATCH)):
-        counts = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
+    for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _BATCH):
+        counts = _kernels.coloring_counts(H, k, batch)
         idx = int(np.argmin(counts))  # the first minimum
         if best < 0 or counts[idx] < best:
-            best, best_lists = int(counts[idx]), batch[idx]
+            best, best_lists = int(counts[idx]), batch[idx].tolist()
         if best == 0:
             break
     assert best_lists is not None

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from canonical import canonical_assignments
 
 from hyperchrom import (
     Hypergraph,
@@ -149,13 +150,17 @@ class TestKernelParity:
         # scanned forwards and backwards in batches of a few assignments, so
         # ties and zeros (which end the scan early) straddle batches
         c4 = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        canonical = listcolor._canonical_assignments
         for H, k in ((c4, 2), (e2, 1), (tri, 2)):
-            forward = list(canonical(H.n, k))
+            forward = list(canonical_assignments(H.n, k))
             for order in (forward, forward[::-1]):
                 counts = [oracle_list_count(H, lists) for lists in order]
                 first = counts.index(min(counts))
-                monkeypatch.setattr(listcolor, "_canonical_assignments", lambda n, k, order=order: iter(order))
+
+                def rows(n, options, limit, table=np.array(order, dtype=np.int64)):
+                    for lo in range(0, len(table), limit):
+                        yield table[lo : lo + limit], None
+
+                monkeypatch.setattr(_kernels, "_orbit_rows", rows)
                 for size in (1, 2, 3, 4096):
                     monkeypatch.setattr(listcolor, "_BATCH", size)
                     value, witness = list_color_function_exact(H, k)
@@ -198,14 +203,49 @@ def test_digit_tables(chunk, monkeypatch):
             assert all(1 <= t.shape[1] <= _kernels._CHUNK for t in tables), (radix, n)
 
 
-def test_chunk_boundaries(e2, monkeypatch):
+def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
     assert [count_proper_colorings(e2, k) for k in range(5)] == [
         oracle_proper_count(e2, k) for k in range(5)
     ]
     L = ListAssignment(2, {v: [v % 3 + 1, v % 3 + 2] for v in range(1, 6)})
     assert count_L_colorings(e2, L) == oracle_list_count(e2, [L.lists[v] for v in range(1, 6)])
-    assert scan_assignments_one_extra_color(e2, 2, gap_factor=0.001) == oracle_scan(e2, 2, 0.001)
+    for H in (e1, e2, matching2, f1):
+        for k in (1, 2, 3):
+            for gap_factor in (0.0, 0.001):
+                got = scan_assignments_one_extra_color(H, k, gap_factor=gap_factor)
+                assert got == oracle_scan(H, k, gap_factor), (H.edges, k, gap_factor)
+
+
+def test_partitions():
+    for num_colors in range(1, 6):
+        for n in range(7):
+            tables = list(_kernels._partitions(n, num_colors))
+            rows = [tuple(row) for digits, _ in tables for row in digits.T.tolist()]
+            weights = [w for _, weight in tables for w in weight.tolist()]
+            # restricted growth strings: each digit at most one past the largest before it
+            rgs = [
+                s
+                for s in itertools.product(range(num_colors), repeat=n)
+                if all(d <= max(s[:v], default=-1) + 1 for v, d in enumerate(s))
+            ]
+            assert rows == rgs, (num_colors, n)
+            assert sum(weights) == num_colors**n
+            patterns = []
+            for row, weight in zip(rows, weights):
+                maps = list(itertools.permutations(range(num_colors), len(set(row))))
+                assert len(maps) == weight
+                patterns.extend(tuple(colors[d] for d in row) for colors in maps)
+            assert sorted(patterns) == list(itertools.product(range(num_colors), repeat=n))
+
+
+def test_orbit_rows_bound():
+    # the exact search's walk keeps every table within max(limit, longest option list)
+    for n, k, total in ((12, 1, 4213597), (6, 2, 97191)):
+        options = listcolor._assignment_options(n, k)
+        bound = max(7, max(len(opts) for opts in options))
+        sizes = [len(rows) for rows, _ in _kernels._orbit_rows(n, options, 7)]
+        assert max(sizes) <= bound and sum(sizes) == total, (n, k)
 
 
 class TestScanWidth:

@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from canonical import canonical_assignments
 
 from hyperchrom import (
     BudgetExceededError,
@@ -19,7 +21,7 @@ from hyperchrom import (
     list_color_function_exact,
     list_color_function_search,
 )
-from hyperchrom import listcolor
+from hyperchrom import _kernels, listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 L1 = ListAssignment(2, {1: [1, 2], 2: [1, 2], 3: [2, 3]})
@@ -165,7 +167,22 @@ class TestListColorFunction:
         for n, k in ((0, 2), (1, 3), (2, 1), (2, 3), (2, 4), (3, 2), (4, 1), (6, 1)):
             pool = itertools.combinations(range(1, n * k + 1), k)
             want = sorted(filter(canonical, itertools.product(pool, repeat=n)))
-            assert list(listcolor._canonical_assignments(n, k)) == want, (n, k)
+            assert list(canonical_assignments(n, k)) == want, (n, k)
+
+    def test_assignment_rows_match_canonical_generator(self):
+        # the same rows in the same order, so the first minimum is the same witness
+        for n, k in [(n, k) for n in range(1, 13) for k in range(1, 12 // n + 1)]:
+            options = listcolor._assignment_options(n, k)
+            # (11, 1) and (12, 1) hold 0.7 and 4.2 million rows, too many to
+            # walk a few at a time here; test_orbit_rows_bound walks (12, 1) at 7
+            for limit in (1, 7, listcolor._BATCH) if n < 11 else (listcolor._BATCH,):
+                want = canonical_assignments(n, k)
+                for rows, _ in _kernels._orbit_rows(n, options, limit):
+                    batch = itertools.islice(want, len(rows))
+                    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
+                    expected = np.fromiter(flat, dtype=np.int64, count=rows.size)
+                    assert np.array_equal(rows.ravel(), expected), (n, k, limit)
+                assert next(want, None) is None, (n, k, limit)
 
     def test_budget_refusal(self, e2):
         # n * k = 15 exceeds the default exact cap of 12
