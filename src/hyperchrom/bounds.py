@@ -756,9 +756,10 @@ def scan_assignments_one_extra_color(
     P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.
 
     Returns counts, each pattern counted with multiplicity: checked,
-    viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin (None when no pattern was checked or no
-    gap was requested).  Refuses k > 62 on nonempty instances, and an
-    instance whose per-edge bound could pass int64.
+    viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin
+    (None when no pattern was checked or no gap was requested).  Refuses
+    k > 62 on nonempty instances, and an instance whose per-edge bound
+    could pass int64.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
