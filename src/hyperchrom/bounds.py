@@ -29,8 +29,8 @@ from mpmath import mp, mpf
 
 from . import _kernels, budget, hypercore
 from .chromatic import chromatic_polynomial
-from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk, normalize_eta
-from .errors import InputError
+from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, enumerate_delta_cycles, normalize_eta
+from .errors import BudgetExceededError, InputError
 from .hypercore import Hypergraph, _set_bits
 from .listcolor import ListAssignment, alpha, list_color_function_exact
 
@@ -151,32 +151,33 @@ def prop1_rhs(
     alpha(e, L) * (k^(n-r) - sum_{A broken-free, e in A, |A| even} k^(c(A)-1)),
     all in exact integer arithmetic.  The census, and with it the value,
     depends on the edge ordering used to break cycles, but the bound is
-    valid under every ordering; callers may pass any eta.
+    valid under every ordering; callers may pass any eta.  ``catalog`` may
+    only be H's own, ``enumerate_delta_cycles(H)``; any other raises InputError.
     """
+    profile = alpha(H, L)
+    _require_own_catalog(H, catalog)
     if H.m == 0:
         return 0
     r = hypercore.uniformity(H)
     if r is None:
         raise InputError("per-edge bound needs an r-uniform hypergraph")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
-    profile = alpha(H, L)
-    k = L.k
-    weights = _even_weights(_even_edge_table(_catalog_for(H, catalog), eta), k)
-    big_k = k ** (H.n - r)
+    weights = _even_weights(_even_edge_table(H, eta), L.k)
+    big_k = L.k ** (H.n - r)
     return sum(a * (big_k - w) for a, w in zip(profile.per_edge, weights) if a)
 
 
-def _even_edge_table(catalog: DeltaCycleCatalog, eta) -> list[list[int]]:
+def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
     """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
 
-    It does not depend on any list assignment, so it is cached on the
+    It does not depend on any list assignment, so it is cached on H's
     catalog per edge labelling, next to the broken family it comes from.
     """
-    H = catalog.H
+    catalog = enumerate_delta_cycles(H)
     key = ("even", normalize_eta(H, eta))
     if key not in catalog._broken_cache:
         table = [[0] * (H.n + 1) for _ in range(H.m)]
-        for mask, size, comps, _blocks in _nb_walk(catalog, eta):
+        for mask, size, comps, _blocks in _nb_walk(H, eta):
             if not size & 1:
                 for e in _set_bits(mask):
                     table[e][comps] += 1
@@ -614,13 +615,14 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     Verdicts: "not-applicable" when a structural hypothesis fails (the
     violated ones are listed), "holds" when k clears the threshold,
     "inconclusive" when it does not - the theorems are one-directional,
-    so falling short of the threshold never claims P_l != P.  When the
-    instance fits the exact-P_l caps (effort "auto"; "exact" insists and
-    may raise, "threshold" skips), P_l(H, k) is computed outright and
-    compared with P(H, k) as an end-to-end confirmation; a theorem whose
+    so falling short of the threshold never claims P_l != P.  When
+    P_l(H, k) and P(H, k) both fit their caps (effort "auto"; "exact"
+    insists and may raise, "threshold" skips), they are computed outright
+    and compared as an end-to-end confirmation; a theorem whose
     hypotheses and threshold both hold but whose conclusion fails the
-    exact check would be reported as "fails".
+    exact check would be reported as "fails".  An invalid H is refused.
     """
+    hypercore.require_valid(H)
     if which not in (1, 2, 3):
         raise InputError(f"which must be 1, 2, or 3, got {which!r}")
     if effort not in ("auto", "threshold", "exact"):
@@ -682,17 +684,14 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     verdict = "holds" if meets else "inconclusive"
     details: dict = {}
     if effort != "threshold":
-        fits = (
-            H.n * k <= budget.get_cap("exact_plk")
-            and H.m <= budget.get_cap("nb_edges")
-            and (H.n == 0 or k**H.n <= budget.get_cap("brute_force"))
-        )
-        if effort == "exact" or fits:
+        try:
             plk, _witness = list_color_function_exact(H, k)
             p = chromatic_polynomial(H).eval(k)
-            details["P_l"] = plk
-            details["P"] = p
-            details["exact_equal"] = plk == p
+        except BudgetExceededError:
+            if effort == "exact":
+                raise
+        else:
+            details = {"P_l": plk, "P": p, "exact_equal": plk == p}
             if meets and plk != p:
                 verdict = "fails"
     return BoundReport(
@@ -706,7 +705,7 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     )
 
 
-def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
+def _member_table(H: Hypergraph, eta, k: int):
     """What the assignment scan needs from NB(H), drawn from one walk.
 
     Returns, per member A, its weight (-1)^|A| * k^(isolated vertices) and
@@ -716,7 +715,7 @@ def _member_table(catalog: DeltaCycleCatalog, eta, k: int):
     """
     members: list[tuple[int, list[list[int]]]] = []
     p_k = 0
-    for _mask, size, comps, blocks in _nb_walk(catalog, eta):
+    for _mask, size, comps, blocks in _nb_walk(H, eta):
         sign = -1 if size & 1 else 1
         members.append((sign * k ** (comps - len(blocks)), [list(_set_bits(b)) for b in blocks]))
         p_k += sign * k**comps
@@ -741,7 +740,6 @@ def scan_assignments_one_extra_color(
     check_uniform: bool = True,
     check_linear: bool = True,
     eta=None,
-    catalog: DeltaCycleCatalog | None = None,
 ) -> dict:
     """Check the lower bounds on every k-assignment drawn from k+1 colors.
 
@@ -758,11 +756,12 @@ def scan_assignments_one_extra_color(
     Returns counts, each pattern counted with multiplicity: checked,
     viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin
     (None when no pattern was checked or no gap was requested).  Refuses
-    k > 62 on nonempty instances, and an instance whose per-edge bound
-    could pass int64.
+    an invalid H, k > 62 on nonempty instances, and an instance whose
+    per-edge bound could pass int64.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
+    hypercore.require_valid(H)
     if H.n == 0 or H.m == 0:
         return {
             "checked": 0,
@@ -781,10 +780,9 @@ def scan_assignments_one_extra_color(
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
-    catalog = _catalog_for(H, catalog)
-    members, p_k = _member_table(catalog, eta, k)
+    members, p_k = _member_table(H, eta, k)
     big_k = k ** (H.n - r)
-    prop_c = [big_k - w for w in _even_weights(_even_edge_table(catalog, eta), k)]
+    prop_c = [big_k - w for w in _even_weights(_even_edge_table(H, eta), k)]
     if (r - 1) * sum(abs(c) for c in prop_c) >= 2**63:
         # each alpha_e is at most r - 1, so the kernel's int64 per-edge sum stays exact
         raise InputError("assignment scan: the per-edge bound's sum may pass 2^63")

@@ -13,7 +13,7 @@ oracle the expansion is checked against.
 from __future__ import annotations
 
 from . import _kernels, budget
-from .cycles import DeltaCycleCatalog, _catalog_for, _nb_walk
+from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog
 from .errors import InputError
 from .hypercore import Hypergraph, require_valid
 
@@ -109,16 +109,18 @@ def chromatic_polynomial(
         H: the hypergraph.
         eta: edge ordering used to break cycles (default identity).  The
             returned polynomial does not depend on it.
-        catalog: precomputed delta-cycle catalog, to share across calls.
+        catalog: None or H's own ``enumerate_delta_cycles(H)``, which is
+            cached on H anyway; any other catalog raises InputError.
 
     Returns:
         IntPolynomial p with p.eval(k) == count_proper_colorings(H, k)
         for every k >= 0.
     """
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
+    _require_own_catalog(H, catalog)
     # members counted by component count, even sizes in row 0 and odd in row 1
     counts = [[0] * (H.n + 1), [0] * (H.n + 1)]
-    for _mask, size, comps, _blocks in _nb_walk(_catalog_for(H, catalog), eta):
+    for _mask, size, comps, _blocks in _nb_walk(H, eta):
         counts[size & 1][comps] += 1
     even, odd = counts
     return IntPolynomial({c: even[c] - odd[c] for c in range(H.n + 1)})

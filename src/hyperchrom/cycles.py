@@ -191,17 +191,14 @@ def _inclusion_minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _catalog_for(H: Hypergraph, catalog: DeltaCycleCatalog | None) -> DeltaCycleCatalog:
-    """The catalog to use for H: the one given, or H's full cached catalog."""
-    if catalog is None:
-        return enumerate_delta_cycles(H)
-    if catalog.H is not H:
-        raise InputError("catalog was built for a different hypergraph")
-    return catalog
+def _require_own_catalog(H: Hypergraph, catalog: DeltaCycleCatalog | None) -> None:
+    """Refuse any catalog but H's own: an NB sum is right only over H's full catalog."""
+    if catalog is not None and catalog is not enumerate_delta_cycles(H):
+        raise InputError("catalog must be enumerate_delta_cycles(H), the instance's own")
 
 
 def _nb_walk(
-    catalog: DeltaCycleCatalog,
+    H: Hypergraph,
     eta: Sequence[int] | None = None,
     max_size: int | None = None,
     need: int = 0,
@@ -218,10 +215,10 @@ def _nb_walk(
     ``max_size`` stops the descent at that many edges.  ``need``, a one-edge
     mask, stops the descent from a subset without that edge once the walk
     has passed it, since no descendant can hold it; the members still
-    yielded keep their order.
+    yielded keep their order.  The broken sets come from H's own catalog,
+    which refuses an invalid H and one over the nb_edges cap.
     """
-    H = catalog.H
-    require_valid(H)
+    catalog = enumerate_delta_cycles(H)
     key = ("groups", normalize_eta(H, eta))
     if key not in catalog._broken_cache:
         masks = _inclusion_minimal([b.mask for b in catalog.broken_family(eta)])
@@ -264,7 +261,6 @@ def nb_subsets(
     eta: Sequence[int] | None = None,
     must_contain: int | None = None,
     size: int | None = None,
-    catalog: DeltaCycleCatalog | None = None,
 ) -> Iterator[EdgeSubset]:
     """Stream the members of NB(H) under eta, in depth-first order.
 
@@ -273,12 +269,13 @@ def nb_subsets(
     Because broken-freeness is hereditary, the walk only ever extends
     broken-free subsets, and with ``must_contain`` it leaves a branch once it
     has passed that edge without taking it; pruning is exact, not heuristic.
+    The broken sets come from H's own catalog, ``enumerate_delta_cycles(H)``.
     """
     m = H.m
     if must_contain is not None and not 1 <= must_contain <= m:
         raise InputError(f"must_contain label {must_contain} outside 1..{m}")
     want = 0 if must_contain is None else 1 << (must_contain - 1)
-    walk = _nb_walk(_catalog_for(H, catalog), eta, max_size=size, need=want)
+    walk = _nb_walk(H, eta, max_size=size, need=want)
     return (
         EdgeSubset.from_mask(m, mask)
         for mask, count, _comps, _blocks in walk

@@ -320,16 +320,9 @@ def rho(H: Hypergraph) -> int:
         raise UndefinedStatisticError(
             f"rho needs at least 2 edges, hypergraph has {H.m}"
         )
-    masks = H.edge_vertex_masks()
-    best = None
-    for i in range(H.m):
-        for j in range(H.m):
-            if i == j:
-                continue
-            diff = bin(masks[i] & ~masks[j]).count("1")
-            if best is None or diff < best:
-                best = diff
-    return best
+    require_valid(H)
+    masks = H.edge_vertex_masks()  # distinct, since a valid H repeats no edge
+    return min((a & ~b).bit_count() for a in masks for b in masks if a != b)
 
 
 def gamma(H: Hypergraph) -> int:
@@ -342,15 +335,9 @@ def gamma(H: Hypergraph) -> int:
     r = uniformity(H)
     if r is None:
         raise UndefinedStatisticError("gamma is defined for uniform hypergraphs only")
-    masks = H.edge_vertex_masks()
-    best = 0
-    for i in range(H.m):
-        near = 0
-        for j in range(H.m):
-            if i != j and bin(masks[i] & masks[j]).count("1") == r - 1:
-                near += 1
-        best = max(best, near)
-    return best
+    require_valid(H)
+    masks = H.edge_vertex_masks()  # an edge meets itself in r vertices, so it never counts
+    return max(sum((a & b).bit_count() == r - 1 for b in masks) for a in masks)
 
 
 def uniformity(H: Hypergraph) -> int | None:
@@ -363,9 +350,6 @@ def uniformity(H: Hypergraph) -> int | None:
 
 def is_linear(H: Hypergraph) -> bool:
     """True iff every two distinct edges share at most one vertex."""
+    require_valid(H)
     masks = H.edge_vertex_masks()
-    for i in range(H.m):
-        for j in range(i + 1, H.m):
-            if bin(masks[i] & masks[j]).count("1") > 1:
-                return False
-    return True
+    return all((a & b).bit_count() <= 1 for i, a in enumerate(masks) for b in masks[:i])

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels, budget
-from .cycles import DeltaCycleCatalog, nb_subsets
+from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
 from .errors import InputError
 from .hypercore import EdgeSubset, Hypergraph, _set_bits, _subset_blocks, require_valid
 
@@ -199,12 +199,14 @@ def count_L_colorings_expansion(
     """P(H, L) by the signed expansion over broken-free edge subsets.
 
     Pure Python on exact ints, sharing no code with the brute-force
-    count; the two are checked against each other in the tests.
+    count; the two are checked against each other in the tests.  ``catalog``
+    may only be H's own, ``enumerate_delta_cycles(H)``; any other raises InputError.
     """
     _check_match(H, L)
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
+    _require_own_catalog(H, catalog)
     total = 0
-    for A in nb_subsets(H, eta=eta, catalog=catalog):
+    for A in nb_subsets(H, eta=eta):
         term = beta(H, L, A)
         total += -term if A.size % 2 else term
     return total
@@ -286,6 +288,7 @@ def list_color_function_search(
     n = H.n
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
+    require_valid(H)
     current = ListAssignment.from_constant(n, k)
     if n == 0:
         return 1, current

@@ -76,6 +76,11 @@ class TestProp1:
         with pytest.raises(InputError):
             prop1_rhs(H, ListAssignment.from_constant(4, 2))
 
+    def test_edgeless_checks_assignment(self):
+        # the m = 0 answer comes after the match check that alpha makes
+        with pytest.raises(InputError, match="assignment covers 1 vertices"):
+            prop1_rhs(Hypergraph(3, []), ListAssignment(2, {1: [1, 2]}))
+
 
 class TestCorUniform:
     def test_worked_value(self):
@@ -337,6 +342,26 @@ class TestTheoremCertify:
         with pytest.raises(BudgetExceededError):
             theorem_certify(TRI3, 4, 2, effort="exact")
 
+    def test_polynomial_over_cap_skips_probe(self, monkeypatch, f1):
+        # P_l fits exact_plk, but the polynomial needs nb_edges = 4
+        assert theorem_certify(f1, 2, 2).details["exact_equal"] is True
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=2")
+        rep = theorem_certify(f1, 2, 2)
+        assert rep.verdict == "inconclusive"
+        assert rep.details == {}
+        with pytest.raises(BudgetExceededError) as exc:
+            theorem_certify(f1, 2, 2, effort="exact")
+        assert exc.value.cap_name == "nb_edges"
+
+    def test_invalid_instance_refused(self):
+        outside = Hypergraph(4, [(1, 2, 3), (4, 5, 6), (1, 5, 7), (2, 6, 8), (3, 4, 8)])
+        twice = Hypergraph(5, [(1, 2, 3), (1, 2, 3), (3, 4, 5)])
+        for which in (1, 2, 3):
+            with pytest.raises(InputError, match="vertex 5 outside 1..4"):
+                theorem_certify(outside, 10, which)
+            with pytest.raises(InputError, match="edge 2 duplicates edge 1"):
+                theorem_certify(twice, 10, which, effort="threshold")
+
     def test_bad_arguments(self, e2):
         with pytest.raises(InputError):
             theorem_certify(e2, 9, 4)
@@ -379,6 +404,10 @@ class TestAssignmentScan:
     def test_empty_instance(self):
         res = scan_assignments_one_extra_color(Hypergraph(3, []), 2)
         assert res["checked"] == 0
+
+    def test_invalid_instance_refused_before_empty_answer(self):
+        with pytest.raises(InputError, match="invalid hypergraph"):
+            scan_assignments_one_extra_color(Hypergraph(0, [(1, 2)]), 2)
 
     def test_needs_uniform(self):
         H = Hypergraph(4, [(1, 2), (1, 3, 4)])

@@ -13,10 +13,14 @@ from hyperchrom import (
     EdgeSubset,
     Hypergraph,
     InputError,
+    ListAssignment,
+    chromatic_polynomial,
+    count_L_colorings_expansion,
     enumerate_delta_cycles,
     is_delta_cycle,
     nb_subsets,
     normalize_eta,
+    prop1_rhs,
 )
 from hyperchrom.cycles import _nb_walk
 from hyperchrom.generators import iter_edge_antichains
@@ -237,22 +241,35 @@ class TestNbSubsets:
     def test_explicit_catalog_must_match_instance(self, tri, e2):
         cat = DeltaCycleCatalog(e2, [])
         with pytest.raises(InputError):
-            list(nb_subsets(tri, catalog=cat))
+            chromatic_polynomial(tri, catalog=cat)
+
+    def test_hand_built_catalog_for_same_instance_refused(self, tri):
+        # a partial catalog for tri itself would make P(tri, 3) read 12, not 6
+        cat = DeltaCycleCatalog(tri, [0b011])
+        L = ListAssignment(2, {1: [1, 2], 2: [1, 3], 3: [2, 3]})
+        for call in (
+            lambda c: chromatic_polynomial(tri, catalog=c).eval(3),
+            lambda c: count_L_colorings_expansion(tri, L, catalog=c),
+            lambda c: prop1_rhs(tri, L, catalog=c),
+        ):
+            with pytest.raises(InputError, match="enumerate_delta_cycles"):
+                call(cat)
+            assert call(enumerate_delta_cycles(tri)) == call(None)
+        assert chromatic_polynomial(tri, catalog=enumerate_delta_cycles(tri)).eval(3) == 6
 
     def test_must_contain_prunes_without_changing_stream(self, tri, f1):
         rng = random.Random(3)
         instances = [tri, f1, _random_uniform(rng, 3, 7, 10), _random_uniform(rng, 2, 6, 10)]
         for H in instances:
-            catalog = enumerate_delta_cycles(H)
             eta = list(range(1, H.m + 1))
             rng.shuffle(eta)
             for order in (None, eta):
-                full = [mask for mask, *_ in _nb_walk(catalog, order)]
+                full = [mask for mask, *_ in _nb_walk(H, order)]
                 for label in range(1, H.m + 1):
                     bit = 1 << (label - 1)
                     streamed = [A.mask for A in nb_subsets(H, eta=order, must_contain=label)]
                     assert streamed == [mask for mask in full if mask & bit]
-                pruned = sum(1 for _ in _nb_walk(catalog, order, need=1))
+                pruned = sum(1 for _ in _nb_walk(H, order, need=1))
                 assert pruned < len(full)
                 assert pruned == 1 + sum(1 for mask in full if mask & 1)
 

@@ -219,3 +219,14 @@ class TestStatistics:
         assert is_linear(f1)
         assert not is_linear(Hypergraph(4, [(1, 2, 3), (1, 2, 4)]))
         assert is_linear(Hypergraph(3, []))
+
+    def test_statistics_refuse_invalid_instance(self):
+        outside = Hypergraph(4, [(1, 2, 3), (4, 5, 6), (1, 5, 7), (2, 6, 8), (3, 4, 8)])
+        twice = Hypergraph(3, [(1, 2, 3), (1, 2, 3)])
+        for H in (outside, twice):
+            for stat in (rho, gamma, is_linear):
+                with pytest.raises(InputError, match="invalid hypergraph"):
+                    stat(H)
+        # the statistic's own precondition still comes first
+        with pytest.raises(UndefinedStatisticError):
+            rho(Hypergraph(1, [(1, 2)]))

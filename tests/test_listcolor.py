@@ -207,3 +207,7 @@ class TestListColorFunction:
             list_color_function_search(e1, 0)
         with pytest.raises(InputError):
             list_color_function_search(e1, 2, iterations=-1)
+
+    def test_search_refuses_invalid_instance_without_vertices(self):
+        with pytest.raises(InputError, match="invalid hypergraph"):
+            list_color_function_search(Hypergraph(0, [(1, 2)]), 2)

@@ -23,9 +23,9 @@ from hyperchrom import bounds
 from hyperchrom.generators import iter_edge_antichains, random_antichain
 
 
-def _oracle(H, catalog, eta):
+def _oracle(H, eta):
     """Every broken-free mask with its component count, by exhaustion."""
-    broken = [b.mask for b in catalog.broken_family(eta)]
+    broken = [b.mask for b in enumerate_delta_cycles(H).broken_family(eta)]
     members = []
     for mask in range(1 << H.m):
         if any(b & mask == b for b in broken):
@@ -56,10 +56,9 @@ def _oracle_partition(H, mask):
 
 
 def _check_walk(H, eta, k=2):
-    catalog = enumerate_delta_cycles(H)
-    oracle = _oracle(H, catalog, eta)
+    oracle = _oracle(H, eta)
 
-    streamed = [A.mask for A in nb_subsets(H, eta=eta, catalog=catalog)]
+    streamed = [A.mask for A in nb_subsets(H, eta=eta)]
     assert len(streamed) == len(set(streamed))
     assert sorted(streamed) == [mask for mask, _, _ in oracle]
 
@@ -72,10 +71,10 @@ def _check_walk(H, eta, k=2):
                 if mask >> e & 1:
                     even[e][comps] += 1
     poly = IntPolynomial(signed)
-    assert chromatic_polynomial(H, eta=eta, catalog=catalog) == poly
-    assert bounds._even_edge_table(catalog, eta) == even
+    assert chromatic_polynomial(H, eta=eta) == poly
+    assert bounds._even_edge_table(H, eta) == even
 
-    members, p_k = bounds._member_table(catalog, eta, k)
+    members, p_k = bounds._member_table(H, eta, k)
     got = sorted((weight, tuple(sorted(map(tuple, blocks)))) for weight, blocks in members)
     want = []
     for mask, size, comps in oracle:
@@ -124,11 +123,10 @@ def test_prop1_walks_once_per_catalog(monkeypatch, f1):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "_nb_walk", counting)
-    catalog = enumerate_delta_cycles(Hypergraph(f1.n, f1.edges))
-    H = catalog.H
+    H = Hypergraph(f1.n, f1.edges)
     L1 = ListAssignment(2, {v: [1, 2] for v in range(1, H.n + 1)})
     L2 = ListAssignment(2, {v: [v, v + 1] for v in range(1, H.n + 1)})
-    first = prop1_rhs(H, L1, catalog=catalog)
-    second = prop1_rhs(H, L2, catalog=catalog)
+    first = prop1_rhs(H, L1)
+    second = prop1_rhs(H, L2)
     assert len(walks) == 1
     assert (first, second) == (0, prop1_rhs(f1, L2))
