@@ -260,20 +260,19 @@ def edges_csr(H) -> tuple[np.ndarray, np.ndarray]:
 
 def broken_csr(catalog, eta=None) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicated broken family grouped by maximum edge index, as CSR."""
-    from .cycles import broken_by_max_edge, normalize_eta
+    from .cycles import _broken_masks, _size_then_mask, broken_by_max_edge, normalize_eta
 
-    eta_t = normalize_eta(catalog.H, eta)
-    key = ("csr", eta_t)
-    if key not in catalog._broken_cache:
-        masks = [b.mask for b in catalog.broken_family(eta_t)]
-        groups = broken_by_max_edge(masks, catalog.H.m)
+    H = catalog.H
+    key = ("kern_broken_csr", normalize_eta(H, eta))
+    if key not in H._cache:
+        masks = sorted(set(_broken_masks(catalog, key[1])), key=_size_then_mask)
         flat = []
         offsets = [0]
-        for group in groups:
+        for group in broken_by_max_edge(masks, H.m):
             flat.extend(group)
             offsets.append(len(flat))
-        catalog._broken_cache[key] = (
+        H._cache[key] = (
             np.array(flat, dtype=np.int64),
             np.array(offsets, dtype=np.int64),
         )
-    return catalog._broken_cache[key]
+    return H._cache[key]

@@ -29,8 +29,8 @@ from mpmath import mp, mpf
 
 from . import _kernels, budget, hypercore
 from .chromatic import chromatic_polynomial
-from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, enumerate_delta_cycles, normalize_eta
-from .errors import BudgetExceededError, InputError
+from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
+from .errors import BudgetExceededError, InputError, require_int
 from .hypercore import Hypergraph, _set_bits
 from .listcolor import ListAssignment, alpha, list_color_function_exact
 
@@ -170,19 +170,18 @@ def prop1_rhs(
 def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
     """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
 
-    It does not depend on any list assignment, so it is cached on H's
-    catalog per edge labelling, next to the broken family it comes from.
+    It does not depend on any list assignment, so it is cached on H per
+    edge labelling, next to the catalog and the walk's broken-set groups.
     """
-    catalog = enumerate_delta_cycles(H)
     key = ("even", normalize_eta(H, eta))
-    if key not in catalog._broken_cache:
+    if key not in H._cache:
         table = [[0] * (H.n + 1) for _ in range(H.m)]
-        for mask, size, comps, _blocks in _nb_walk(H, eta):
+        for mask, size, comps, _blocks in _nb_walk(H, key[1]):
             if not size & 1:
                 for e in _set_bits(mask):
                     table[e][comps] += 1
-        catalog._broken_cache[key] = table
-    return catalog._broken_cache[key]
+        H._cache[key] = table
+    return H._cache[key]
 
 
 def _even_weights(table: list[list[int]], k: int) -> list[int]:
@@ -627,8 +626,7 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
         raise InputError(f"which must be 1, 2, or 3, got {which!r}")
     if effort not in ("auto", "threshold", "exact"):
         raise InputError(f"effort must be auto, threshold, or exact, got {effort!r}")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     m = H.m
     r = hypercore.uniformity(H)
     rho_val = hypercore.rho(H) if m >= 2 else None
@@ -759,8 +757,7 @@ def scan_assignments_one_extra_color(
     an invalid H, k > 62 on nonempty instances, and an instance whose
     per-edge bound could pass int64.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     hypercore.require_valid(H)
     if H.n == 0 or H.m == 0:
         return {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog
-from .errors import InputError
+from .errors import InputError, require_int
 from .hypercore import Hypergraph, require_valid
 
 __all__ = [
@@ -132,8 +132,7 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     A coloring is proper when no edge is monochromatic.  Runs in
     O(k^n) time and is subject to the brute_force budget cap.
     """
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
+    k = require_int(k, "k", 0)
     require_valid(H)
     if H.n == 0:
         return 1

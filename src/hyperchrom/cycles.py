@@ -11,7 +11,8 @@ lowest edge, always adding an edge that holds a vertex covered only once,
 until no such vertex is left.
 
 Fixing an edge labelling eta, each delta-cycle C yields one broken
-delta-cycle: C minus its eta-minimal edge.  NB(H) is the family of edge
+delta-cycle: C minus its eta-minimal edge, derived as a bitmask by
+``_broken_masks`` for every consumer.  NB(H) is the family of edge
 subsets containing no broken delta-cycle; it is downward closed, which the
 depth-first enumeration exploits: extending only broken-free subsets visits
 exactly NB(H) and never leaves it.  The walk carries the components of each
@@ -67,44 +68,37 @@ def _size_then_mask(mask: int) -> tuple[int, int]:
 
 
 class DeltaCycleCatalog:
-    """All delta-cycles of a hypergraph.
+    """All delta-cycles of a hypergraph, in deterministic order (by size, then by bitmask).
 
-    Stores the cycles in deterministic order (by size, then by bitmask) and
-    derives, per edge labelling, both the one-broken-set-per-cycle list and
-    the deduplicated broken family used by the NB enumeration.
+    A plain value: the broken sets under a labelling come from
+    ``_broken_masks``, and the tables built from them are cached on H.
     """
 
-    __slots__ = ("H", "cycles", "_broken_cache")
+    __slots__ = ("H", "cycles")
 
     def __init__(self, H: Hypergraph, cycle_masks: Iterable[int]):
         self.H = H
         masks = sorted(set(cycle_masks), key=_size_then_mask)
         self.cycles = tuple(EdgeSubset.from_mask(H.m, mk) for mk in masks)
-        self._broken_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.cycles)
 
     def broken_per_cycle(self, eta: Sequence[int] | None = None) -> list[EdgeSubset]:
         """One broken set per delta-cycle (duplicates possible), cycle order."""
-        return [pair[1] for pair in self._broken(eta)[0]]
+        masks = _broken_masks(self, normalize_eta(self.H, eta))
+        return [EdgeSubset.from_mask(self.H.m, mk) for mk in masks]
 
     def broken_family(self, eta: Sequence[int] | None = None) -> tuple[EdgeSubset, ...]:
         """Deduplicated broken delta-cycles, sorted by size then bitmask."""
-        return self._broken(eta)[1]
+        masks = sorted(set(_broken_masks(self, normalize_eta(self.H, eta))), key=_size_then_mask)
+        return tuple(EdgeSubset.from_mask(self.H.m, mk) for mk in masks)
 
-    def _broken(self, eta: Sequence[int] | None):
-        eta = normalize_eta(self.H, eta)
-        if eta not in self._broken_cache:
-            per_cycle = []
-            for cyc in self.cycles:
-                drop = min(cyc.labels, key=lambda lab: eta[lab - 1])
-                broken = EdgeSubset.from_mask(self.H.m, cyc.mask & ~(1 << (drop - 1)))
-                per_cycle.append((cyc, broken))
-            family = sorted({br.mask for _, br in per_cycle}, key=_size_then_mask)
-            dedup = tuple(EdgeSubset.from_mask(self.H.m, mk) for mk in family)
-            self._broken_cache[eta] = (per_cycle, dedup)
-        return self._broken_cache[eta]
+
+def _broken_masks(catalog: DeltaCycleCatalog, eta: tuple[int, ...]) -> list[int]:
+    """Per cycle, in catalog order, its mask minus its eta-smallest edge; eta normalized."""
+    order = [1 << i for i in sorted(range(catalog.H.m), key=eta.__getitem__)]
+    return [cyc.mask ^ next(bit for bit in order if cyc.mask & bit) for cyc in catalog.cycles]
 
 
 def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
@@ -216,15 +210,16 @@ def _nb_walk(
     mask, stops the descent from a subset without that edge once the walk
     has passed it, since no descendant can hold it; the members still
     yielded keep their order.  The broken sets come from H's own catalog,
-    which refuses an invalid H and one over the nb_edges cap.
+    which refuses an invalid H and one over the nb_edges cap; their
+    inclusion-minimal members, grouped by top edge, are cached on H per eta.
     """
     catalog = enumerate_delta_cycles(H)
-    key = ("groups", normalize_eta(H, eta))
-    if key not in catalog._broken_cache:
-        masks = _inclusion_minimal([b.mask for b in catalog.broken_family(eta)])
-        catalog._broken_cache[key] = broken_by_max_edge(masks, H.m)
+    key = ("nb_groups", normalize_eta(H, eta))
+    if key not in H._cache:
+        masks = sorted(set(_broken_masks(catalog, key[1])), key=_size_then_mask)
+        H._cache[key] = broken_by_max_edge(_inclusion_minimal(masks), H.m)
     limit = H.m if max_size is None else max_size
-    return _walk(H.n, H.edge_vertex_masks(), catalog._broken_cache[key], limit, need)
+    return _walk(H.n, H.edge_vertex_masks(), H._cache[key], limit, need)
 
 
 def _walk(n: int, vmasks: list[int], groups: list[list[int]], limit: int, need: int):

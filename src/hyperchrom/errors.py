@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all hyperchrom modules."""
+"""Exception hierarchy shared by all hyperchrom modules, and the integer check."""
 
 from __future__ import annotations
+
+import operator
 
 __all__ = [
     "HyperchromError",
@@ -42,3 +44,18 @@ class UndefinedStatisticError(HyperchromError):
 
 class GeneratorError(HyperchromError):
     """An instance generator could not satisfy its parameters."""
+
+
+def require_int(value, name: str, low: int) -> int:
+    """value as an int, or InputError unless it is an integer of at least low.
+
+    ``operator.index`` admits ints and numpy integers, so a float such as
+    2.5 is refused instead of truncated.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value

@@ -118,6 +118,8 @@ def iter_r_uniform(
 
 def random_antichain(n: int, m: int, rng: random.Random) -> Hypergraph:
     """A random hypergraph on 1..n with m edges, sampled by rejection."""
+    if m < 0:
+        raise InputError(f"m must be >= 0, got {m}")
     if n < 2 and m > 0:
         raise InputError(f"edges need n >= 2, got n={n}")
     # Sperner: no antichain of sets of size >= 2 beats the widest such layer
@@ -184,8 +186,13 @@ def _random_uniform(n, m, r, seed, max_tries, what, pair_ok, triple_bad=None) ->
     Samples whole edge sets up to max_tries times.  When every try fails
     and there are at most _GREEDY_POOL r-subsets, makes one greedy pass
     over them in shuffled order, keeping each that fits the edges kept so
-    far.  Raises GeneratorError(what) when both fail.
+    far.  Raises GeneratorError(what) when both fail.  m = 0 gives the
+    edgeless instance at once; m < 0 is refused.
     """
+    if m < 0:
+        raise InputError(f"m must be >= 0, got {m}")
+    if m == 0:
+        return _finish(Hypergraph(n, []))
     rng = random.Random(seed)
 
     def fits(e: frozenset, kept: list[frozenset]) -> bool:

@@ -15,6 +15,7 @@ to all lists of the component.  The routes share no counting code.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _kernels, budget
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
-from .errors import InputError
+from .errors import InputError, require_int
 from .hypercore import EdgeSubset, Hypergraph, _set_bits, _subset_blocks, require_valid
 
 __all__ = [
@@ -51,19 +52,14 @@ class ListAssignment:
     __slots__ = ("k", "lists")
 
     def __init__(self, k: int, lists: Mapping[int, Iterable[int]]) -> None:
-        try:
-            k = int(k)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"list size k must be an integer, got {k!r}") from exc
-        if k < 1:
-            raise InputError(f"list size k must be >= 1, got {k}")
+        k = require_int(k, "list size k", 1)
         self.k = k
         clean: dict[int, tuple[int, ...]] = {}
         for v, colors in lists.items():
             v = int(v)
             try:
-                cs = tuple(sorted(set(int(c) for c in colors)))
-            except (TypeError, ValueError) as exc:
+                cs = tuple(sorted(set(map(operator.index, colors))))
+            except TypeError as exc:
                 raise InputError(f"vertex {v} has a non-integer color") from exc
             if len(cs) != k:
                 raise InputError(
@@ -121,6 +117,9 @@ class ListAssignment:
             lists = {int(v): cs for v, cs in raw.items()}
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad vertex key in lists: {exc}") from exc
+        colors = [c for cs in raw.values() if isinstance(cs, list) for c in cs]
+        if any(isinstance(x, bool) for x in [payload["k"], *colors]):
+            raise InputError("list assignment JSON needs integers, not booleans")
         return cls(payload["k"], lists)
 
     def __eq__(self, other: object) -> bool:
@@ -185,7 +184,8 @@ def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
     _check_match(H, L)
     if H.n > 0:
         budget.check_cap("brute_force", L.k**H.n, "list-coloring enumeration")
-    values = np.array([L.lists[v] for v in range(1, H.n + 1)], dtype=np.int64)
+    rank = {c: i for i, c in enumerate(L.universe())}  # colors matter only by equality
+    values = np.array([[rank[c] for c in L.lists[v]] for v in range(1, H.n + 1)], dtype=np.int64)
     require_valid(H)
     return int(_kernels.coloring_counts(H, L.k, values.reshape(1, H.n, L.k))[0])
 
@@ -243,8 +243,7 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     minimum.  Guarded by the exact_plk cap on n*k and the brute_force
     cap on the per-assignment k^n count.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     n = H.n
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
@@ -281,8 +280,7 @@ def list_color_function_search(
     k = 2 it reports 2 with the constant witness, while
     ``list_color_function_exact`` finds 0.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = require_int(k, "k", 1)
     if iterations < 0:
         raise InputError(f"iterations must be >= 0, got {iterations}")
     n = H.n

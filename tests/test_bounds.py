@@ -19,6 +19,9 @@ from hyperchrom import (
     cor_uniform_rhs,
     cor_uniform_rhs_exact,
     count_L_colorings,
+    count_proper_colorings,
+    list_color_function_exact,
+    list_color_function_search,
     phi1_M,
     phi2_M,
     phi_Mkt,
@@ -418,3 +421,20 @@ class TestAssignmentScan:
         monkeypatch.setenv("HYPERCHROM_BUDGET", "brute_force=100")
         with pytest.raises(BudgetExceededError):
             scan_assignments_one_extra_color(e2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        count_proper_colorings,
+        scan_assignments_one_extra_color,
+        list_color_function_search,
+        list_color_function_exact,
+        lambda H, k: theorem_certify(H, k, 2),
+    ],
+    ids=["count_proper_colorings", "scan", "plk_search", "plk_exact", "theorem_certify"],
+)
+def test_non_integer_k_refused(f1, call):
+    # truncating 2.5 would answer for k = 2; the check refuses it before any work
+    with pytest.raises(InputError, match="k must be an integer"):
+        call(f1, 2.5)

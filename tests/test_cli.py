@@ -129,6 +129,14 @@ class TestListCount:
         assert record["P_HL"] == 7
         assert record["routes_agree"] is True
 
+    def test_color_past_int64(self, files, tmp_path):
+        lists = tmp_path / "big.json"
+        lists.write_text('{"k":2,"lists":{"1":[1,9223372036854775808],"2":[1,2],"3":[1,2]}}')
+        out = run_cli("list-count", files["e1.json"], str(lists), "--json")
+        assert (out.returncode, out.stderr) == (0, "")
+        record = json.loads(out.stdout)
+        assert (record["P_HL"], record["routes_agree"]) == (7, True)
+
 
 class TestPlk:
     def test_exact_constant_witness(self, files):

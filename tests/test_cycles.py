@@ -22,6 +22,7 @@ from hyperchrom import (
     normalize_eta,
     prop1_rhs,
 )
+from hyperchrom import _kernels
 from hyperchrom.cycles import _nb_walk
 from hyperchrom.generators import iter_edge_antichains
 
@@ -151,6 +152,29 @@ class TestCatalog:
         # reversed order ranks edge 3 lowest instead
         assert cat.broken_family([3, 2, 1]) == (tri.subset([1, 2]),)
         assert cat.broken_per_cycle(None) == [tri.subset([2, 3])]
+
+    def test_broken_sets_follow_definition_under_random_eta(self):
+        # oracle: each cycle minus its eta-smallest label, deduplicated, grouped by top edge
+        rng = random.Random(13)
+        checked = 0
+        for n in range(6):
+            for H in iter_edge_antichains(n, 4):
+                eta = list(range(1, H.m + 1))
+                rng.shuffle(eta)
+                cat = enumerate_delta_cycles(H)
+                per_cycle = []
+                for cyc in cat.cycles:
+                    drop = min(cyc.labels, key=lambda lab: eta[lab - 1])
+                    per_cycle.append(H.subset(lab for lab in cyc.labels if lab != drop))
+                assert cat.broken_per_cycle(eta) == per_cycle
+                family = sorted(set(per_cycle), key=lambda b: (b.size, b.mask))
+                assert cat.broken_family(eta) == tuple(family)
+                flat, offsets = _kernels.broken_csr(cat, eta)
+                groups = [flat[offsets[j] : offsets[j + 1]].tolist() for j in range(H.m)]
+                tops = [[b.mask for b in family if max(b.labels) == j + 1] for j in range(H.m)]
+                assert groups == tops
+                checked += len(per_cycle)
+        assert checked > 0
 
     def test_catalog_cached_on_instance(self, tri):
         assert enumerate_delta_cycles(tri) is enumerate_delta_cycles(tri)

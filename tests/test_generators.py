@@ -131,6 +131,18 @@ class TestRandomFamilies:
         assert uniformity(H) == 3 and H.m == 14
         assert validate(H) == []
 
+    def test_edge_count_zero_and_negative(self):
+        # the edgeless instance meets every constraint; a negative count is refused at once
+        for make in (random_linear_r_uniform, sunflower_free):
+            start = time.process_time()
+            assert make(5, 0, 3) == Hypergraph(5, [])
+            assert time.process_time() - start < 0.1
+            with pytest.raises(InputError):
+                make(5, -1, 3)
+        assert random_antichain(5, 0, random.Random(1)) == Hypergraph(5, [])
+        with pytest.raises(InputError):
+            random_antichain(5, -1, random.Random(1))
+
     def test_rho_floor_unsatisfiable(self):
         # rho of 3-uniform edges never exceeds 3
         with pytest.raises(GeneratorError):

@@ -53,6 +53,16 @@ class TestListAssignment:
         with pytest.raises(InputError):
             ListAssignment(2, {1: [1, 2], 3: [1, 2]})
 
+    def test_non_integers_refused(self):
+        # int() would truncate 1.5 and 2.5 and read true as 1
+        for k, lists in ((2.5, {1: [1, 2]}), (2, {1: [1.5, 2]}), (2, {1: ["1", 2]})):
+            with pytest.raises(InputError):
+                ListAssignment(k, lists)
+        for text in ('{"k":true,"lists":{"1":[1]}}', '{"k":2,"lists":{"1":[true,2]}}'):
+            with pytest.raises(InputError):
+                ListAssignment.from_json(text)
+        assert ListAssignment(np.int64(2), {1: [np.int64(1), 2]}).lists == {1: (1, 2)}
+
     def test_json_round_trip(self):
         text = L1.to_json()
         assert text == '{"k":2,"lists":{"1":[1,2],"2":[1,2],"3":[2,3]}}'
@@ -122,6 +132,11 @@ class TestCountRoutes:
         base = count_L_colorings_expansion(tri, L)
         assert count_L_colorings_expansion(tri, L, eta=[3, 1, 2]) == base
         assert count_L_colorings(tri, L) == base
+
+    def test_colors_past_int64(self, e1):
+        # colors matter only by equality, so no color is too large for the brute route
+        L = ListAssignment(2, {1: [1, 2**63], 2: [1, 2], 3: [1, 2]})
+        assert count_L_colorings(e1, L) == count_L_colorings_expansion(e1, L) == 7
 
     def test_budget_cap(self, monkeypatch, e2):
         monkeypatch.setenv("HYPERCHROM_BUDGET", "brute_force=10")
