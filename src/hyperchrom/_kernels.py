@@ -24,6 +24,15 @@ fits.  The corollary bounds arrive as exact integer tables clipped to
 caller refuses an instance where (r - 1) times the sum of |prop_c[e]|
 reaches 2^63, so it is exact.  The CSR encoders at the bottom serve the
 benchmark only; no kernel reads them.
+
+This is the only module that imports numpy.  No module imports it at load
+time: ``count_proper_colorings``, ``count_L_colorings``,
+``list_color_function_exact`` and ``scan_assignments_one_extra_color``
+import it when they run.  The scan's threshold tables and ``closed_forms``'
+float grids take numpy from here, and ``hyperchrom.get_backend`` loads this
+module on first use.  So ``delta-cycles``, ``nb``, ``gen``, ``chromatic`` without
+``--oracle`` and ``verify --theorem`` (when the exact check is over its
+caps) run without numpy.
 """
 
 from __future__ import annotations
@@ -156,12 +165,14 @@ def coloring_counts(H, k, values=None):
     """Proper colorings of H, one count per color assignment.
 
     A coloring picks a digit 0..k-1 per vertex, and under assignment b
-    vertex v gets color values[b, v, digit], with values of shape
-    (batch, n, k).  values None counts the plain k-colorings, the digits
-    being the colors.  Returns int64 counts of shape (batch,), or (1,)
-    when values is None.
+    vertex v gets color values[b, v, digit], values being integers of
+    shape (batch, n, k), as an array or nested lists.  values None counts
+    the plain k-colorings, the digits being the colors.  Returns int64
+    counts of shape (batch,), or (1,) when values is None.
     """
     edges = _edges(H)
+    if values is not None:
+        values = np.asarray(values, dtype=np.int64).reshape(len(values), H.n, int(k))
     batch = 1 if values is None else values.shape[0]
     counts = np.zeros(batch, dtype=np.int64)
     rows = np.arange(H.n)[:, None]

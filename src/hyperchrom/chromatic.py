@@ -7,12 +7,13 @@ the spanning subhypergraph (V, A).  The expansion is independent of the
 edge ordering used to break cycles, which the tests exercise directly.
 
 Counting proper colorings by brute force lives here too; it is the
-oracle the expansion is checked against.
+oracle the expansion is checked against, and the one function here that
+imports ``_kernels`` (and with it numpy), when it runs.
 """
 
 from __future__ import annotations
 
-from . import _kernels, budget
+from . import budget
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog
 from .errors import InputError, require_int
 from .hypercore import Hypergraph, require_valid
@@ -139,4 +140,6 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     if k == 0:
         return 0
     budget.check_cap("brute_force", k**H.n, "proper-coloring enumeration")
+    from . import _kernels
+
     return int(_kernels.coloring_counts(H, k)[0])

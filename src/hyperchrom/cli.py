@@ -9,6 +9,12 @@ once, in ``build_parser``.  ``gen`` takes its families from the
 and seed; every numeric result is also available as a structured JSON
 record via --json.
 
+Only ``verify --grids`` imports mpmath, and only the commands that run a
+brute-force count or the assignment scan import numpy (``chromatic
+--oracle``, ``list-count``, ``plk``, and ``verify --theorem`` when its
+exact check fits the caps), each when it runs; the others start without
+either library.
+
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
 (oracle or route mismatch, a failing bound), 2 input error, 3 budget
 refusal, 4 generator failure (the random families fall back to one
@@ -24,7 +30,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import reports_to_csv, theorem_certify, verify_grids
+from .bounds import reports_to_csv, theorem_certify
 from .chromatic import chromatic_polynomial, count_proper_colorings
 from .cycles import enumerate_delta_cycles, nb_subsets
 from .errors import BudgetExceededError, GeneratorError, HyperchromError, InputError
@@ -236,6 +242,8 @@ def _expand_paths(paths: list[str]) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     if args.grids:
+        from .closed_forms import verify_grids  # the one command that needs mpmath
+
         reports.extend(verify_grids())
     if args.theorem is not None:
         if args.k is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import budget
-from .errors import InputError
+from .errors import InputError, require_ints
 from .hypercore import EdgeSubset, Hypergraph, _add_block, _edge_indices, require_valid
 
 __all__ = [
@@ -44,7 +44,7 @@ def normalize_eta(H: Hypergraph, eta: Sequence[int] | None) -> tuple[int, ...]:
     """
     if eta is None:
         return tuple(range(1, H.m + 1))
-    eta = tuple(int(x) for x in eta)
+    eta = require_ints(eta, "eta labels")
     if sorted(eta) != list(range(1, H.m + 1)):
         raise InputError(f"eta must be a permutation of 1..{H.m}, got {list(eta)}")
     return eta

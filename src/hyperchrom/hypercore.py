@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .errors import InputError, UndefinedStatisticError
+from .errors import InputError, UndefinedStatisticError, require_int, require_ints
 
 __all__ = [
     "Hypergraph",
@@ -112,12 +112,11 @@ class Hypergraph:
     __slots__ = ("n", "edges", "_cache")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if n < 0:
-            raise InputError(f"vertex count must be >= 0, got {n}")
-        self.n = int(n)
+        self.n = require_int(n, "vertex count", 0)
         canon = []
         for edge in edges:
-            vertices = tuple(sorted(set(int(v) for v in edge)))
+            # out-of-range vertices are validate's to report
+            vertices = tuple(sorted(set(require_ints(edge, "edge vertices"))))
             canon.append(vertices)
         self.edges = tuple(canon)
         self._cache: dict = {}

@@ -6,7 +6,9 @@ with no edge monochromatic.  The list-color function P_l(H, k) is the
 minimum of P(H, L) over all k-assignments L.
 
 Two independent routes to P(H, L) live here.  The brute-force route
-enumerates colorings directly (kernel-backed).  The expansion route sums
+enumerates colorings directly (kernel-backed: ``count_L_colorings`` and
+``list_color_function_exact`` import ``_kernels``, and with it numpy, when
+they run, so loading this module loads no numpy).  The expansion route sums
 (-1)^|A| * beta(A, L) over the broken-free subsets A, where beta(A, L)
 multiplies, over the components of (V, A), the number of colors common
 to all lists of the component.  The routes share no counting code.
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from . import _kernels, budget
+from . import budget
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
 from .errors import InputError, require_int
 from .hypercore import EdgeSubset, Hypergraph, _set_bits, _subset_blocks, require_valid
@@ -56,7 +56,7 @@ class ListAssignment:
         self.k = k
         clean: dict[int, tuple[int, ...]] = {}
         for v, colors in lists.items():
-            v = int(v)
+            v = require_int(v, "list vertex")
             try:
                 cs = tuple(sorted(set(map(operator.index, colors))))
             except TypeError as exc:
@@ -185,9 +185,11 @@ def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
     if H.n > 0:
         budget.check_cap("brute_force", L.k**H.n, "list-coloring enumeration")
     rank = {c: i for i, c in enumerate(L.universe())}  # colors matter only by equality
-    values = np.array([[rank[c] for c in L.lists[v]] for v in range(1, H.n + 1)], dtype=np.int64)
+    values = [[rank[c] for c in L.lists[v]] for v in range(1, H.n + 1)]
     require_valid(H)
-    return int(_kernels.coloring_counts(H, L.k, values.reshape(1, H.n, L.k))[0])
+    from . import _kernels
+
+    return int(_kernels.coloring_counts(H, L.k, [values])[0])
 
 
 def count_L_colorings_expansion(
@@ -251,10 +253,12 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     require_valid(H)
     if n == 0:
         return 1, ListAssignment.from_constant(0, k)
+    from . import _kernels
+
     best, best_lists = -1, None
     for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _BATCH):
         counts = _kernels.coloring_counts(H, k, batch)
-        idx = int(np.argmin(counts))  # the first minimum
+        idx = int(counts.argmin())  # the first minimum
         if best < 0 or counts[idx] < best:
             best, best_lists = int(counts[idx]), batch[idx].tolist()
         if best == 0:

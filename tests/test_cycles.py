@@ -142,6 +142,13 @@ class TestNormalizeEta:
         with pytest.raises(InputError):
             normalize_eta(tri, [0, 1, 2])
 
+    def test_non_integer_labels_refused(self, tri):
+        # int() would read [1.5, 2, 3] as the identity
+        for eta in ([1.5, 2, 3], [True, 2, 3], ["1", 2, 3]):
+            with pytest.raises(InputError, match="eta labels must be integers"):
+                normalize_eta(tri, eta)
+        assert normalize_eta(tri, (x for x in [3, 1, 2])) == (3, 1, 2)
+
 
 class TestCatalog:
     def test_triangle_broken_edge(self, tri):

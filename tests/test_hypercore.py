@@ -1,5 +1,6 @@
 """Core data structures and hypergraph statistics."""
 
+import numpy as np
 import pytest
 
 from hyperchrom import hypercore
@@ -57,6 +58,33 @@ class TestHypergraph:
     def test_negative_n_rejected(self):
         with pytest.raises(InputError):
             Hypergraph(-1, [])
+
+    def test_non_integer_vertex_refused(self):
+        # int() would store the edge (1, 2, 3)
+        with pytest.raises(InputError, match="edge vertices must be integers"):
+            Hypergraph(3, [(1, 2.7, 3)])
+
+    def test_non_integer_n_refused(self):
+        # int() would give n = 3
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            Hypergraph(3.9, [(1, 2, 3)])
+
+    def test_string_n_and_vertex_refused(self):
+        with pytest.raises(InputError, match="edge vertices must be integers"):
+            Hypergraph(3, [(1, "2", 3)])
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            Hypergraph("3", [(1, 2, 3)])
+
+    def test_boolean_n_and_vertex_refused(self):
+        with pytest.raises(InputError):
+            Hypergraph(True, [])
+        with pytest.raises(InputError):
+            Hypergraph(3, [(True, 2, 3)])
+
+    def test_integer_types_accepted(self):
+        H = Hypergraph(np.int64(3), [(np.int64(1), 2, np.int32(3))])
+        assert (H.n, H.edges) == (3, ((1, 2, 3),))
+        assert type(H.n) is int and all(type(v) is int for v in H.edges[0])
 
     def test_json_round_trip(self, e2):
         text = e2.to_json()

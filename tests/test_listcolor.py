@@ -63,6 +63,13 @@ class TestListAssignment:
                 ListAssignment.from_json(text)
         assert ListAssignment(np.int64(2), {1: [np.int64(1), 2]}).lists == {1: (1, 2)}
 
+    def test_non_integer_vertex_key_refused(self):
+        # int() would key vertex 2
+        with pytest.raises(InputError, match="list vertex must be an integer"):
+            ListAssignment(2, {1: (1, 2), 2.7: (1, 2)})
+        with pytest.raises(InputError, match="list vertex must be an integer"):
+            ListAssignment(2, {1: (1, 2), "2": (1, 2)})
+
     def test_json_round_trip(self):
         text = L1.to_json()
         assert text == '{"k":2,"lists":{"1":[1,2],"2":[1,2],"3":[2,3]}}'
