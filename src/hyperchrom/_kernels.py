@@ -30,9 +30,9 @@ time: ``count_proper_colorings``, ``count_L_colorings``,
 ``list_color_function_exact`` and ``scan_assignments_one_extra_color``
 import it when they run.  The scan's threshold tables and ``closed_forms``'
 float grids take numpy from here, and ``hyperchrom.get_backend`` loads this
-module on first use.  So ``delta-cycles``, ``nb``, ``gen``, ``chromatic`` without
-``--oracle`` and ``verify --theorem`` (when the exact check is over its
-caps) run without numpy.
+module on first use.  So ``delta-cycles``, ``nb``, ``gen``, ``chromatic``
+without ``--oracle`` and ``verify --theorem`` (when the exact check is over
+its caps) run without numpy.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ the proof-auxiliary closed forms, C_THM3 and verify_grids live in
 
 Nothing here imports numpy at load time.  The assignment scan is the one
 function that calls a kernel, and it imports ``_kernels`` (and with it
-numpy) when it runs, so ``theorem_certify`` and the thresholds need
-neither numpy nor mpmath unless its exact check gets past the caps.
+numpy) when it runs.  The thresholds need neither numpy nor mpmath, and
+``theorem_certify`` loads numpy only when its exact check fits the caps.
 
 Throughout, M abbreviates m - 1 and x abbreviates M / k, matching the
 substitutions the bound derivations use.  All logarithms are natural.

@@ -46,12 +46,12 @@ class GeneratorError(HyperchromError):
     """An instance generator could not satisfy its parameters."""
 
 
-def require_int(value, name: str, low: int | None = None) -> int:
+def require_int(value, name: str, low: int) -> int:
     """value as an int, or InputError unless it is an integer of at least low.
 
     ``operator.index`` admits ints and numpy integers, so a float such as
     2.5 or a string such as "2" is refused instead of truncated or parsed.
-    A bool is refused too, as the JSON readers do.  low None sets no bound.
+    A bool is refused too, as the JSON readers do.
     """
     try:
         index = operator.index(value)
@@ -60,7 +60,7 @@ def require_int(value, name: str, low: int | None = None) -> int:
     if index is None or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
     value = index
-    if low is not None and value < low:
+    if value < low:
         raise InputError(f"{name} must be >= {low}, got {value}")
     return value
 

@@ -56,7 +56,7 @@ class ListAssignment:
         self.k = k
         clean: dict[int, tuple[int, ...]] = {}
         for v, colors in lists.items():
-            v = require_int(v, "list vertex")
+            v = require_int(v, "list vertex", 1)
             try:
                 cs = tuple(sorted(set(map(operator.index, colors))))
             except TypeError as exc:

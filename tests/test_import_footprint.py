@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # Theorem 1 applies and k = 4 clears its threshold with n * k = 28 > 12
 FANO5 = Hypergraph(7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7)])
 
+_LOADED = "sorted(m for m in ('mpmath', 'numpy') if m in sys.modules)"
+
 _PROBE = (
     "import json, sys\n"
     "import hyperchrom\n"
@@ -30,12 +32,12 @@ _PROBE = (
     "if sys.argv[1:]:\n"
     "    import hyperchrom.cli\n"
     "    rc = hyperchrom.cli.main(sys.argv[1:])\n"
-    "print(json.dumps([rc, sorted(m for m in ('mpmath', 'numpy') if m in sys.modules)]))\n"
+    f"print(json.dumps([rc, {_LOADED}]))\n"
 )
 
 
 def loaded(code, *argv):
-    """(exit code, sorted loaded libraries) of one fresh interpreter."""
+    """The first value code prints, and the libraries it found loaded, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("HYPERCHROM_BUDGET", None)  # the default caps
     proc = subprocess.run(
@@ -49,7 +51,7 @@ def loaded(code, *argv):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("footprint")
-    paths = {"fano": root / "fano.json", "small": root / "small.json", "lists": root / "lists.json"}
+    paths = {name: root / f"{name}.json" for name in ("fano", "small", "lists")}
     paths["fano"].write_text(FANO5.to_json())
     paths["small"].write_text(Hypergraph(5, [(1, 2, 3), (3, 4, 5)]).to_json())
     lists = {v: (1, 2) if v % 2 else (2, 3) for v in range(1, 8)}
@@ -102,6 +104,6 @@ def test_theorem_certify_refuses_exact_check_before_kernels(files):
         "import json, sys\n"
         "from hyperchrom import Hypergraph, theorem_certify\n"
         "rep = theorem_certify(Hypergraph.load(sys.argv[1]), 4, 1)\n"
-        "print(json.dumps([rep.verdict, sorted(m for m in ('mpmath', 'numpy') if m in sys.modules)]))\n"
+        f"print(json.dumps([rep.verdict, {_LOADED}]))\n"
     )
     assert loaded(code, files["fano"]) == ("holds", [])
