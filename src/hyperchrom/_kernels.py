@@ -37,6 +37,8 @@ its caps) run without numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .hypercore import require_valid
@@ -271,17 +273,16 @@ def edges_csr(H) -> tuple[np.ndarray, np.ndarray]:
 
 def broken_csr(catalog, eta=None) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicated broken family grouped by maximum edge index, as CSR."""
-    from .cycles import _broken_masks, _size_then_mask, broken_by_max_edge, normalize_eta
+    from .cycles import _broken_masks, normalize_eta
 
     H = catalog.H
     key = ("kern_broken_csr", normalize_eta(H, eta))
     if key not in H._cache:
-        masks = sorted(set(_broken_masks(catalog, key[1])), key=_size_then_mask)
-        flat = []
-        offsets = [0]
-        for group in broken_by_max_edge(masks, H.m):
-            flat.extend(group)
-            offsets.append(len(flat))
+        # by top edge, then by size and mask within a group
+        masks = set(_broken_masks(catalog, key[1]))
+        flat = sorted(masks, key=lambda mk: (mk.bit_length(), mk.bit_count(), mk))
+        tops = [mk.bit_length() for mk in flat]
+        offsets = [bisect_right(tops, j) for j in range(H.m + 1)]
         H._cache[key] = (
             np.array(flat, dtype=np.int64),
             np.array(offsets, dtype=np.int64),

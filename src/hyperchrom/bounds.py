@@ -146,7 +146,8 @@ def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
     """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
 
     It does not depend on any list assignment, so it is cached on H per
-    edge labelling, next to the catalog and the walk's broken-set groups.
+    edge labelling, next to the catalog and the walk's index of minimal
+    broken sets by second-highest edge.
     """
     key = ("even", normalize_eta(H, eta))
     if key not in H._cache:

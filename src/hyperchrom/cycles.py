@@ -15,7 +15,11 @@ delta-cycle: C minus its eta-minimal edge, derived as a bitmask by
 ``_broken_masks`` for every consumer.  NB(H) is the family of edge
 subsets containing no broken delta-cycle; it is downward closed, which the
 depth-first enumeration exploits: extending only broken-free subsets visits
-exactly NB(H) and never leaves it.  The walk carries the components of each
+exactly NB(H) and never leaves it.  Each inclusion-minimal broken set is
+filed under its second-highest edge: all its other edges lie at or below
+that edge, so when the walk adds it, the set either fits and its top edge
+joins a "blocked" mask carried down the branch, or it never will.  A child
+edge in the blocked mask is skipped.  The walk carries the components of each
 member as vertex bitmasks, one per component with an edge; a step builds a
 new list of them, so backtracking returns to the list it had kept.
 """
@@ -159,19 +163,6 @@ def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
     return catalog
 
 
-def broken_by_max_edge(broken_masks: Iterable[int], m: int) -> list[list[int]]:
-    """Group broken-set masks by their highest edge index (0-based).
-
-    The NB depth-first walk adds edges in increasing index order, so a subset
-    can only complete a broken set whose maximum edge is the one just added;
-    grouping makes that the only test per step.
-    """
-    groups: list[list[int]] = [[] for _ in range(m)]
-    for mask in broken_masks:
-        groups[mask.bit_length() - 1].append(mask)
-    return groups
-
-
 def _inclusion_minimal(masks: list[int]) -> list[int]:
     """The masks with no other mask inside them; input sorted by size, distinct.
 
@@ -210,40 +201,47 @@ def _nb_walk(
     mask, stops the descent from a subset without that edge once the walk
     has passed it, since no descendant can hold it; the members still
     yielded keep their order.  The broken sets come from H's own catalog,
-    which refuses an invalid H and one over the nb_edges cap; their
-    inclusion-minimal members, grouped by top edge, are cached on H per eta.
+    which refuses an invalid H and one over the nb_edges cap.  Their
+    inclusion-minimal members are cached on H per eta, filed by
+    second-highest edge: ``index[j]`` holds ``(rest, top)``, the set split
+    into its top edge's bit and the rest.  Adding j tests each once, and a
+    fit puts ``top`` in the branch's blocked mask.
     """
     catalog = enumerate_delta_cycles(H)
     key = ("nb_groups", normalize_eta(H, eta))
     if key not in H._cache:
         masks = sorted(set(_broken_masks(catalog, key[1])), key=_size_then_mask)
-        H._cache[key] = broken_by_max_edge(_inclusion_minimal(masks), H.m)
+        index: list[list[tuple[int, int]]] = [[] for _ in range(H.m)]
+        for bmask in _inclusion_minimal(masks):
+            top = 1 << bmask.bit_length() - 1
+            rest = bmask ^ top  # a delta-cycle has >= 3 edges, so rest is nonempty
+            index[rest.bit_length() - 1].append((rest, top))
+        H._cache[key] = index
     limit = H.m if max_size is None else max_size
     return _walk(H.n, H.edge_vertex_masks(), H._cache[key], limit, need)
 
 
-def _walk(n: int, vmasks: list[int], groups: list[list[int]], limit: int, need: int):
+def _walk(n: int, vmasks: list[int], index: list[list[tuple[int, int]]], limit: int, need: int):
     m = len(vmasks)
     stop = need.bit_length() if need else m  # past it, only subsets holding need extend
-    stack: list[tuple[int, list[int], int]] = []  # (edge added, blocks, union) before it
-    mask, size, blocks, union, j = 0, 0, [], 0, 0
+    stack: list[tuple[int, list[int], int, int]] = []  # (edge, blocks, union, blocked) before it
+    mask, size, blocks, union, blocked, j = 0, 0, [], 0, 0, 0
     yield mask, size, n, blocks
     while True:
         if j < m and size < limit and (j < stop or mask & need):
-            new_mask = mask | 1 << j
-            for bmask in groups[j]:
-                if bmask & ~new_mask == 0:
-                    break
-            else:
-                stack.append((j, blocks, union))
+            if not blocked >> j & 1:
+                stack.append((j, blocks, union, blocked))
                 blocks = _add_block(blocks, vmasks[j])
                 union |= vmasks[j]
-                mask = new_mask
+                mask |= 1 << j
                 size += 1
+                for rest, top in index[j]:
+                    if rest & ~mask == 0:
+                        blocked |= top
                 yield mask, size, n + len(blocks) - union.bit_count(), blocks
             j += 1
         elif stack:
-            j, blocks, union = stack.pop()
+            j, blocks, union, blocked = stack.pop()
             mask ^= 1 << j
             size -= 1
             j += 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -40,6 +41,17 @@ __all__ = [
 ]
 
 _BATCH = 4096  # assignments per kernel call in list_color_function_exact
+_VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeated key {key!r} in list assignment JSON")
+        obj[key] = value
+    return obj
 
 
 class ListAssignment:
@@ -104,8 +116,11 @@ class ListAssignment:
 
     @classmethod
     def from_json(cls, text: str) -> ListAssignment:
+        """Parse ``to_json``'s form.  A vertex key must be the canonical decimal
+        of a vertex >= 1 ("1", not "01", " 1", "+1" or "1_0"), and no key may
+        repeat in any object, so no two keys can name one vertex."""
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "k" not in payload or "lists" not in payload:
@@ -113,9 +128,12 @@ class ListAssignment:
         raw = payload["lists"]
         if not isinstance(raw, dict):
             raise InputError('"lists" must map vertices to color arrays')
+        for v in raw:
+            if not _VERTEX_KEY.fullmatch(v):
+                raise InputError(f"bad vertex key in lists: {v!r} is not a vertex >= 1")
         try:
             lists = {int(v): cs for v, cs in raw.items()}
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise InputError(f"bad vertex key in lists: {exc}") from exc
         colors = [c for cs in raw.values() if isinstance(cs, list) for c in cs]
         if any(isinstance(x, bool) for x in [payload["k"], *colors]):

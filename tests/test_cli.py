@@ -137,6 +137,18 @@ class TestListCount:
         record = json.loads(out.stdout)
         assert (record["P_HL"], record["routes_agree"]) == (7, True)
 
+    def test_vertex_key_aliases_refused(self, files, tmp_path):
+        # "01" used to be read as vertex 1, silently replacing its list
+        for name, lists in (
+            ("alias.json", '{"k":2,"lists":{"1":[1,2],"01":[3,4],"2":[1,2],"3":[1,2]}}'),
+            ("twice.json", '{"k":2,"lists":{"1":[1,2],"1":[3,4],"2":[1,2],"3":[1,2]}}'),
+        ):
+            path = tmp_path / name
+            path.write_text(lists)
+            out = run_cli("list-count", files["e1.json"], str(path))
+            assert (out.returncode, out.stdout) == (2, "")
+            assert "error:" in out.stderr
+
 
 class TestPlk:
     def test_exact_constant_witness(self, files):

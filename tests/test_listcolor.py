@@ -1,6 +1,7 @@
 """List assignments, the expansion route, and the exact list-color function."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -69,6 +70,23 @@ class TestListAssignment:
             ListAssignment(2, {1: (1, 2), 2.7: (1, 2)})
         with pytest.raises(InputError, match="list vertex must be an integer"):
             ListAssignment(2, {1: (1, 2), "2": (1, 2)})
+
+    def test_json_vertex_keys_must_be_canonical(self):
+        # int() would read "01", " 1", "+1" and "1_0" as vertex 1 or 10
+        for key in ("01", " 1", "+1", "1_0", "1 ", "0", "-1", "1.0", "\u0661", "", "1" * 5000):
+            text = '{"k":2,"lists":{"1":[1,2],"%s":[3,4],"2":[1,2]}}' % key
+            with pytest.raises(InputError, match="bad vertex key"):
+                ListAssignment.from_json(text)
+        for text in (
+            '{"k":2,"lists":{"1":[1,2],"1":[3,4],"2":[1,2]}}',
+            '{"k":2,"k":2,"lists":{"1":[1,2]}}',
+        ):
+            with pytest.raises(InputError, match="repeated key"):
+                ListAssignment.from_json(text)
+        lists = {str(v): [1, 2] for v in range(10, 0, -1)}
+        lists["1"] = [3, 4]
+        text = json.dumps({"k": 2, "lists": lists})
+        assert ListAssignment.from_json(text).lists[1] == (3, 4)
 
     def test_json_round_trip(self):
         text = L1.to_json()

@@ -4,7 +4,9 @@ The oracle enumerates all 2^m edge subsets, keeps those containing no
 broken delta-cycle, and counts components with ``components``.  That
 function and the walk build components with the same block helper, so every
 member's partition and count are also checked against a union-find written
-here, which shares no code with the library.
+here, which shares no code with the library.  The walk's preorder stream,
+blocks included, is also checked against the per-top-edge walk it replaced,
+kept in ``reference_walk.py``.
 """
 
 import random
@@ -20,7 +22,9 @@ from hyperchrom import (
     prop1_rhs,
 )
 from hyperchrom import bounds
+from hyperchrom.cycles import _nb_walk, normalize_eta
 from hyperchrom.generators import iter_edge_antichains, random_antichain
+from reference_walk import reference_nb_walk
 
 
 def _oracle(H, eta):
@@ -112,6 +116,56 @@ def test_walk_matches_oracle_on_random_antichains():
         n = rng.randint(5, 8)
         H = random_antichain(n, rng.randint(1, 8), rng)
         _check_walk(H, _random_eta(H.m, rng), k=rng.randint(1, 3))
+
+
+def _stream(walk):
+    return [(mask, size, comps, tuple(blocks)) for mask, size, comps, blocks in walk]
+
+
+def _check_index(H, eta):
+    """The cached index files each inclusion-minimal broken set, of >= 2 edges,
+    under its second-highest edge."""
+    broken = [b.mask for b in enumerate_delta_cycles(H).broken_family(eta)]
+    minimal = {b for b in broken if not any(a != b and a & b == a for a in broken)}
+    assert all(b.bit_count() >= 2 for b in minimal)
+    index = H._cache[("nb_groups", normalize_eta(H, eta))]
+    filed = []
+    for j, entries in enumerate(index):
+        for rest, top in entries:
+            assert top.bit_count() == 1 and rest.bit_length() - 1 == j < top.bit_length() - 1
+            filed.append(rest | top)
+    assert sorted(filed) == sorted(minimal)
+
+
+def _check_against_reference(H, rng):
+    eta = _random_eta(H.m, rng)
+    max_size = rng.randint(0, H.m)
+    need = 1 << rng.randrange(H.m) if H.m else 0
+    for size_cap in (None, max_size):
+        for want in (0, need):
+            got = _stream(_nb_walk(H, eta, max_size=size_cap, need=want))
+            assert got == _stream(reference_nb_walk(H, eta, max_size=size_cap, need=want))
+    _check_index(H, eta)
+
+
+def test_walk_matches_per_top_edge_reference_on_small_antichains():
+    rng = random.Random(4)
+    count = 0
+    for n in range(6):
+        for H in iter_edge_antichains(n, 4):
+            _check_against_reference(H, rng)
+            count += 1
+    assert count > 3000
+
+
+def test_walk_matches_per_top_edge_reference_on_random_antichains():
+    rng = random.Random(5)
+    blocked = 0
+    for _ in range(300):
+        H = random_antichain(rng.randint(6, 10), rng.randint(3, 11), rng)
+        _check_against_reference(H, rng)
+        blocked += len(enumerate_delta_cycles(H))
+    assert blocked > 0
 
 
 def test_prop1_walks_once_per_catalog(monkeypatch, f1):
