@@ -1,38 +1,46 @@
-"""Array kernels: the brute-force counters and the one-extra-color scan.
+"""Array kernels: the brute-force counter, the list-count kernel and the scan.
 
 Every kernel runs vectorized numpy on tables of rows, and each edge is
 tested on a whole table at once.  The brute-force counter numbers its
 colorings in one radix, and ``_digit_tables`` yields their digits a table
-of at most _CHUNK numbers at a time.  The scan and the exact list-color
-function walk one row per color-renaming class: ``_orbit_rows`` grows the
-rows a vertex at a time from per-state option lists, in depth-first
-lexicographic order.  For the scan a row is a restricted growth string, a
-set partition of the vertices into at most num_colors blocks, and it
-counts for the (num_colors)_j omit patterns (j its block count) that
-rename to it.  The walk over NB(H) is not a kernel; it runs on Python ints
-in ``cycles.py``.
+of at most _CHUNK numbers at a time; it serves ``count_proper_colorings``
+and ``count_L_colorings``.  ``list_counts`` gives P(H, L) for a table of
+assignments held as per-vertex list bitmasks, from the partition terms of
+Whitney's expansion (``listcolor._partition_terms``): per term, its weight
+times, per block, the popcount of the AND of the block's masks.  The scan
+and the exact list-color function both count with it, and both walk one
+row per color-renaming class: ``_orbit_rows`` grows the rows a vertex at a
+time from per-state option lists, in depth-first lexicographic order.  For
+the scan a row is a restricted growth string, a set partition of the
+vertices into at most num_colors blocks, and it counts for the
+(num_colors)_j omit patterns (j its block count) that rename to it; for
+the exact search a row holds each vertex's list as 63-bit mask words.  The
+walk over NB(H) is not a kernel; it runs on Python ints in ``cycles.py``.
 
 Kernels take the hypergraph and read its edges through ``_edges``, which
 refuses an invalid instance once and caches the 0-based vertex tuples.
-Width: the brute_force cap stays below 2^63 and bounds k^n, so every
-coloring count, P(H, L), P(H, k) and their difference fits in int64, and so
-does the scan's orbit weight (num_colors)_j <= num_colors^n and each weighted
-count, whose total is num_colors^n.  A member's term in the scan is at
-most k^n in size; a running sum that wraps ends exact, since its total
-fits.  The corollary bounds arrive as exact integer tables clipped to
-+-(k^n + 1).  The per-edge bound's sum is formed in int64; the scan's
-caller refuses an instance where (r - 1) times the sum of |prop_c[e]|
-reaches 2^63, so it is exact.  The CSR encoders at the bottom serve the
-benchmark only; no kernel reads them.
+Width: the brute_force cap stays below 2^63 and bounds k^n (the scan's
+caller checks (k+1)^n), so every coloring count, P(H, L), P(H, k) and their
+difference fits in int64, and so does the scan's orbit weight
+(num_colors)_j <= num_colors^n and each weighted count, whose total is
+num_colors^n.  A partition term's weight c * k^(isolated vertices) may pass
+2^63; ``list_counts`` takes it in two's complement int64, so each product
+and the running sum are exact modulo 2^64, and since the true total
+P(H, L) <= k^n fits, so is the result.  A block's popcount is at most the
+list size, and is kept uint8 while a list fits one word.  The corollary
+bounds arrive as exact integer lists clipped to +-(k^n + 1).  The per-edge
+bound's sum is formed in int64; the scan's caller refuses an instance where
+(r - 1) times the sum of |prop_c[e]| reaches 2^63, so it is exact.  The CSR
+encoders at the bottom serve the benchmark only; no kernel reads them.
 
 This is the only module that imports numpy.  No module imports it at load
 time: ``count_proper_colorings``, ``count_L_colorings``,
 ``list_color_function_exact`` and ``scan_assignments_one_extra_color``
-import it when they run.  The scan's threshold tables and ``closed_forms``'
-float grids take numpy from here, and ``hyperchrom.get_backend`` loads this
-module on first use.  So ``delta-cycles``, ``nb``, ``gen``, ``chromatic``
-without ``--oracle`` and ``verify --theorem`` (when the exact check is over
-its caps) run without numpy.
+import it when they run.  ``closed_forms``' float grids take numpy from
+here, and ``hyperchrom.get_backend`` loads this module on first use.  So
+``delta-cycles``, ``nb``, ``gen``, ``chromatic`` without ``--oracle`` and
+``verify --theorem`` (when the exact check is over its caps) run without
+numpy.
 """
 
 from __future__ import annotations
@@ -46,12 +54,14 @@ from .hypercore import require_valid
 __all__ = [
     "get_backend",
     "coloring_counts",
+    "list_counts",
     "omit_pattern_scan",
     "edges_csr",
     "broken_csr",
 ]
 
 _CHUNK = 1 << 16
+_ROWS = 1 << 12  # partitions per scan table; list_counts holds each block's counts for a table
 
 
 def get_backend() -> str:
@@ -134,7 +144,7 @@ def _orbit_rows(n, options, limit):
 def _partitions(n, num_colors):
     """The set partitions of n vertices into at most num_colors blocks, with weights.
 
-    Yields (digits, weight) per table of at most _CHUNK partitions: digits
+    Yields (digits, weight) per table of at most _ROWS partitions: digits
     (n, count) int64 holds each partition as a restricted growth string
     (vertex v's block, numbered by first appearance), and weight (count,)
     the (num_colors)_j omit patterns whose colors rename to it, j its block
@@ -147,7 +157,7 @@ def _partitions(n, num_colors):
     for j in range(top):
         falling.append(falling[-1] * (num_colors - j))
     weights = np.array(falling, dtype=np.int64)
-    for rows, blocks in _orbit_rows(n, options, _CHUNK):
+    for rows, blocks in _orbit_rows(n, options, _ROWS):
         yield rows[:, :, 0].T, weights[blocks]
 
 
@@ -186,24 +196,56 @@ def coloring_counts(H, k, values=None):
     return counts
 
 
-def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_scaled):
+def list_counts(masks, terms):
+    """P(H, L) per column of list bitmasks, summed over partition terms.
+
+    masks is int64 of shape (n, words, count): column c gives vertex v the
+    colors whose bits are set in masks[v, :, c], 63 to a word.  terms lists
+    (weight, blocks), each block a tuple of 0-based vertices, and a column
+    gets the sum over terms of weight times, per block, the popcount of the
+    AND of its vertices' masks: the colors their lists share.  Each block's
+    popcounts are formed once per call.  Returns int64 counts of shape
+    (count,).
+    """
+    masks = np.ascontiguousarray(masks)  # a vertex's words for all columns in one run
+    total = np.zeros(masks.shape[-1], dtype=np.int64)
+    common = {}
+    for weight, blocks in terms:
+        prod = np.int64((weight + 2**63) % 2**64 - 2**63)  # two's complement; the total is exact
+        for block in blocks:
+            if block not in common:
+                shared = masks[block[0]]
+                for v in block[1:]:
+                    shared = shared & masks[v]
+                bits = np.bitwise_count(shared)  # uint8, and so each cached count while one word
+                common[block] = bits[0] if len(bits) == 1 else bits.sum(axis=0, dtype=np.int64)
+            prod = prod * common[block]
+        total += prod
+    return total
+
+
+def omit_pattern_scan(H, num_colors, terms, p_k, prop_c, thr_u, thr_l, gap_scaled):
     """Check every omit pattern of a num_colors universe; count bound violations.
 
-    members lists (weight, block vertex lists) per NB(H) member, vertices
-    0-based: the member adds weight times, per block, the colors its
-    vertices share.  Digit v of a pattern is the color vertex v omits, kept
-    as the bit 1 << digit, so num_colors must stay at most 63.  A pattern
-    with diff = P(H, L) - p_k and alpha = sum of alpha_e violates the per-edge
-    bound when diff < sum alpha_e * prop_c[e] (prop_c[e] = k^(n-r) minus edge
-    e's even-member weight), and a corollary bound when diff < thr[alpha]
-    (thr_u, thr_l; None skips one).  Renaming the colors changes none of
-    these numbers, so the walk takes one pattern per renaming class, a set
-    partition from ``_partitions``, and adds its orbit size to checked and
-    to each violation count; min_gap_margin is a minimum over the classes.
+    terms are P(H, L)'s partition terms for ``list_counts``, with lists of
+    num_colors - 1 colors.  Digit v of a pattern is the color vertex v
+    omits, kept as the bit 1 << digit and its list as the other bits, so
+    num_colors must stay at most 63.  A pattern with diff = P(H, L) - p_k
+    and alpha = sum of alpha_e violates the per-edge bound when
+    diff < sum alpha_e * prop_c[e] (prop_c[e] = k^(n-r) minus edge e's
+    even-member weight), and a corollary bound when diff < thr[alpha]
+    (thr_u, thr_l: lists of ints within int64, made int64 arrays here; None
+    skips one).  Renaming the colors changes none of these numbers, so the
+    walk takes one pattern per renaming class, a set partition from
+    ``_partitions``, and adds its orbit size to checked and to each
+    violation count; min_gap_margin is a minimum over the classes.
     Returns (checked, viol_prop, viol_u, viol_l, viol_gap, min_gap_margin).
     """
     edges = _edges(H)
     m = len(edges)
+    full = np.int64((1 << num_colors) - 1)
+    thr_u = None if thr_u is None else np.array(thr_u, dtype=np.int64)
+    thr_l = None if thr_l is None else np.array(thr_l, dtype=np.int64)
     checked = 0
     viol_prop = 0
     viol_u = 0
@@ -211,29 +253,20 @@ def omit_pattern_scan(H, num_colors, members, p_k, prop_c, thr_u, thr_l, gap_sca
     viol_gap = 0
     min_gap_margin = 1e300
     for digits, orbit in _partitions(H.n, int(num_colors)):
-        bm = np.left_shift(np.int64(1), digits)
+        lists = np.left_shift(np.int64(1), digits)
+        lists ^= full  # every color but the omitted one
         alpha_e = np.empty((m, digits.shape[1]), dtype=np.int64)
         for e, vs in enumerate(edges):
-            om = bm[vs[0]].copy()
-            for u in vs[1:]:
-                om |= bm[u]
-            alpha_e[e] = np.bitwise_count(om)
-        alpha_e -= 1
+            both = lists[vs[0]] & lists[vs[1]]
+            for u in vs[2:]:
+                both &= lists[u]
+            # uint8: the edge's common colors, at most num_colors - 1 <= 62
+            alpha_e[e] = num_colors - 1 - np.bitwise_count(both)
         alpha = alpha_e.sum(axis=0)
         sel = alpha > 0
         if not sel.any():
             continue
-        p_l = np.zeros_like(alpha)
-        for weight, blocks in members:
-            prod = np.full_like(alpha, weight)
-            for vlist in blocks:
-                om = bm[vlist[0]].copy()
-                for u in vlist[1:]:
-                    om |= bm[u]
-                # uint8 counts: num_colors <= 63 keeps the difference in range
-                prod *= num_colors - np.bitwise_count(om)
-            p_l += prod
-        diff = p_l - p_k
+        diff = list_counts(lists[:, None], terms) - p_k
         rhs = np.zeros_like(alpha)
         for e in range(m):
             rhs += alpha_e[e] * prop_c[e]

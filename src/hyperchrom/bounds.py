@@ -33,7 +33,7 @@ from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
 from .errors import BudgetExceededError, InputError, require_int
 from .hypercore import Hypergraph, _set_bits
-from .listcolor import ListAssignment, alpha, list_color_function_exact
+from .listcolor import ListAssignment, _partition_terms, alpha, list_color_function_exact
 
 __all__ = [
     "STRICT_SLACK",
@@ -351,36 +351,15 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     )
 
 
-def _member_table(H: Hypergraph, eta, k: int):
-    """What the assignment scan needs from NB(H), drawn from one walk.
-
-    Returns, per member A, its weight (-1)^|A| * k^(isolated vertices) and
-    the vertex lists (0-based) of its components that hold an edge; then
-    P(H, k) as an int.  Each vertex of a pattern's assignment has k colors,
-    so the isolated ones fold into the weight.
-    """
-    members: list[tuple[int, list[list[int]]]] = []
-    p_k = 0
-    for _mask, size, comps, blocks in _nb_walk(H, eta):
-        sign = -1 if size & 1 else 1
-        members.append((sign * k ** (comps - len(blocks)), [list(_set_bits(b)) for b in blocks]))
-        p_k += sign * k**comps
-    return members, p_k
-
-
 def _threshold_table(frac: Fraction, big_k: int, top: int, limit: int):
     """thr[a] = ceil(frac * big_k * a) for a = 0..top, clipped to [-limit, limit].
 
     For an integer diff with |diff| < limit, diff < thr[a] exactly when
-    diff < frac * big_k * a, and every entry fits in int64 once limit does.
-    Returned as the int64 array the scan kernel indexes; numpy comes
-    through ``_kernels``, and only when a scan builds the table.
+    diff < frac * big_k * a, and every entry fits in int64 once limit does,
+    so the scan kernel can index it as an int64 array.
     """
-    from ._kernels import np
-
     num, den = frac.numerator * big_k, frac.denominator
-    table = [max(-limit, min(limit, -(-num * a // den))) for a in range(top + 1)]
-    return np.array(table, dtype=np.int64)
+    return [max(-limit, min(limit, -(-num * a // den))) for a in range(top + 1)]
 
 
 def scan_assignments_one_extra_color(
@@ -429,7 +408,8 @@ def scan_assignments_one_extra_color(
     budget.check_cap("brute_force", (k + 1) ** H.n, "assignment scan")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
 
-    members, p_k = _member_table(H, eta, k)
+    terms = _partition_terms(H, k)
+    p_k = sum(weight * k ** len(blocks) for weight, blocks in terms)
     big_k = k ** (H.n - r)
     prop_c = [big_k - w for w in _even_weights(_even_edge_table(H, eta), k)]
     if (r - 1) * sum(abs(c) for c in prop_c) >= 2**63:
@@ -449,7 +429,7 @@ def scan_assignments_one_extra_color(
     from . import _kernels
 
     checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
-        H, k + 1, members, p_k, prop_c, thr_u, thr_l, float(gap_factor * big_k)
+        H, k + 1, terms, p_k, prop_c, thr_u, thr_l, float(gap_factor * big_k)
     )
     return {
         "checked": checked,

@@ -5,13 +5,17 @@ P(H, L) counts the colorings that pick each vertex's color from its list
 with no edge monochromatic.  The list-color function P_l(H, k) is the
 minimum of P(H, L) over all k-assignments L.
 
-Two independent routes to P(H, L) live here.  The brute-force route
-enumerates colorings directly (kernel-backed: ``count_L_colorings`` and
-``list_color_function_exact`` import ``_kernels``, and with it numpy, when
-they run, so loading this module loads no numpy).  The expansion route sums
+Three routes to P(H, L) live here, and they share no counting code.  The
+brute-force route enumerates colorings directly (``count_L_colorings``,
+through ``_kernels.coloring_counts``).  The expansion route sums
 (-1)^|A| * beta(A, L) over the broken-free subsets A, where beta(A, L)
 multiplies, over the components of (V, A), the number of colors common
-to all lists of the component.  The routes share no counting code.
+to all lists of the component.  The exact list-color function takes a
+third: it groups Whitney's expansion over all edge subsets by partition in
+one pass over the edges, with no delta-cycle catalog, and counts whole
+batches of assignments from those terms with ``_kernels.list_counts``.
+The kernels, and with them numpy, are imported when a function that uses
+them runs, so loading this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Mapping
 from . import budget
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
 from .errors import InputError, require_int
-from .hypercore import EdgeSubset, Hypergraph, _set_bits, _subset_blocks, require_valid
+from .hypercore import EdgeSubset, Hypergraph, _add_block, _set_bits, _subset_blocks, require_valid
 
 __all__ = [
     "ListAssignment",
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 _BATCH = 4096  # assignments per kernel call in list_color_function_exact
+_WORD = 63  # colors per int64 word of an exact search row; the sign bit stays clear
 _VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
 
 
@@ -232,6 +237,34 @@ def count_L_colorings_expansion(
     return total
 
 
+def _partition_terms(H: Hypergraph, k: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Whitney's expansion of P(H, L) for k-assignments, grouped by partition.
+
+    P(H, L) sums (-1)^|A| * beta(A, L) over all edge subsets A, and beta
+    depends on A only through the components of (V, A) that hold an edge.
+    One pass over the edges keeps {those blocks: signed count}: each edge
+    either leaves a state as it is or fuses the blocks it meets, with a
+    minus sign, and a state whose count cancels to zero is dropped.  So at
+    most Bell(n) states live, and no more than NB(H) has partitions, since
+    the broken-free subsets carry each partition's whole count (Dohmen).
+    Returns (weight, blocks) per partition left: blocks as tuples of 0-based
+    vertices, weight its count times k per isolated vertex, for
+    ``_kernels.list_counts``.
+    """
+    require_valid(H)
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for emask in H.edge_vertex_masks():
+        grown = dict(states)
+        for blocks, count in states.items():
+            fused = tuple(sorted(_add_block(blocks, emask)))
+            grown[fused] = grown.get(fused, 0) - count
+        states = {blocks: count for blocks, count in grown.items() if count}
+    return [
+        (count * k ** (H.n - sum(b.bit_count() for b in blocks)), [tuple(_set_bits(b)) for b in blocks])
+        for blocks, count in states.items()
+    ]
+
+
 def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """Per count of colors used so far, the lists a vertex may take next.
 
@@ -241,15 +274,28 @@ def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]
     picks its colors from those already used plus a consecutive block of
     fresh ones.  Every assignment has at least one such form, and every
     such form is a valid assignment, which is all a minimization needs.
-    options[used] lists, in lexicographic order, (k-subset, colors used
-    after it) for ``_kernels._orbit_rows``, whose walk then starts from the
-    constant assignment {1..k}^n.
+    options[used] lists, in lexicographic order of the k-subsets, (the
+    subset as mask words, colors used after it) for ``_kernels._orbit_rows``,
+    whose walk then starts from the constant assignment {1..k}^n.  Color c
+    is bit (c - 1) % 63 of word (c - 1) // 63, so every word fits in int64.
     """
+    words = -(-n * k // _WORD)
     options = []
     for used in range((n - 1) * k + 1):
-        subsets = combinations(range(1, used + k + 1), k)
-        options.append([(s, max(used, s[-1])) for s in subsets if s[-1] - used <= sum(a > used for a in s)])
+        opts = []
+        for s in combinations(range(1, used + k + 1), k):
+            if s[-1] - used <= sum(a > used for a in s):
+                row = [0] * words
+                for c in s:
+                    row[(c - 1) // _WORD] |= 1 << (c - 1) % _WORD
+                opts.append((tuple(row), max(used, s[-1])))
+        options.append(opts)
     return options
+
+
+def _mask_colors(row) -> list[int]:
+    """The colors of one vertex's mask words, as ``_assignment_options`` sets them."""
+    return [w * _WORD + b + 1 for w, word in enumerate(row) for b in _set_bits(word)]
 
 
 def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignment]:
@@ -257,11 +303,15 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
 
     Scans one representative per color-renaming class (vertex 1 pinned
     to {1..k}, fresh colors consecutive), so the search space is finite
-    even though color names are not.  Ties break to the first
-    representative in scan order; the constant assignment is scanned
-    first, so a constant witness is reported whenever one attains the
-    minimum.  Guarded by the exact_plk cap on n*k and the brute_force
-    cap on the per-assignment k^n count.
+    even though color names are not.  Each batch of assignments is counted
+    by ``_kernels.list_counts`` from the partition terms of H, formed once.
+    Ties break to the first representative in scan order; the constant
+    assignment is scanned first, so a constant witness is reported whenever
+    one attains the minimum.  At k = 1 the constant assignment colors every
+    edge alike, so it attains the minimum (0, or 1 with no edges), and the
+    answer is returned without the terms, whose states can number Bell(n)
+    there (n <= 12 at the default caps).  Guarded by the exact_plk cap on
+    n*k and the brute_force cap on k^n, which keeps every P(H, L) below 2^63.
     """
     k = require_int(k, "k", 1)
     n = H.n
@@ -269,20 +319,21 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
     require_valid(H)
-    if n == 0:
-        return 1, ListAssignment.from_constant(0, k)
+    if n == 0 or k == 1:
+        return (0 if H.m else 1), ListAssignment.from_constant(n, k)
     from . import _kernels
 
-    best, best_lists = -1, None
+    terms = _partition_terms(H, k)
+    best, best_row = -1, None
     for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _BATCH):
-        counts = _kernels.coloring_counts(H, k, batch)
+        counts = _kernels.list_counts(batch.transpose(1, 2, 0), terms)
         idx = int(counts.argmin())  # the first minimum
         if best < 0 or counts[idx] < best:
-            best, best_lists = int(counts[idx]), batch[idx].tolist()
+            best, best_row = int(counts[idx]), batch[idx].tolist()
         if best == 0:
             break
-    assert best_lists is not None
-    witness = ListAssignment(k, {v + 1: best_lists[v] for v in range(n)})
+    assert best_row is not None
+    witness = ListAssignment(k, {v + 1: _mask_colors(best_row[v]) for v in range(n)})
     return best, witness
 
 

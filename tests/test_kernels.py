@@ -148,15 +148,19 @@ class TestKernelParity:
 
     def test_exact_witness_is_first_minimum(self, e2, tri, monkeypatch):
         # scanned forwards and backwards in batches of a few assignments, so
-        # ties and zeros (which end the scan early) straddle batches
+        # ties and zeros (which end the scan early) straddle batches; k = 1
+        # is answered without a scan, so e2 is scanned at k = 2
         c4 = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        for H, k in ((c4, 2), (e2, 1), (tri, 2)):
+        for H, k in ((c4, 2), (e2, 2), (tri, 2)):
             forward = list(canonical_assignments(H.n, k))
             for order in (forward, forward[::-1]):
                 counts = [oracle_list_count(H, lists) for lists in order]
                 first = counts.index(min(counts))
 
-                def rows(n, options, limit, table=np.array(order, dtype=np.int64)):
+                # the rows as the search holds them: each list as bits of one word
+                table = np.bitwise_or.reduce(np.left_shift(1, np.array(order) - 1), axis=2)
+
+                def rows(n, options, limit, table=table[:, :, None]):
                     for lo in range(0, len(table), limit):
                         yield table[lo : lo + limit], None
 
@@ -205,6 +209,7 @@ def test_digit_tables(chunk, monkeypatch):
 
 def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
     monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    monkeypatch.setattr(_kernels, "_ROWS", 7)
     assert [count_proper_colorings(e2, k) for k in range(5)] == [
         oracle_proper_count(e2, k) for k in range(5)
     ]
@@ -271,7 +276,8 @@ class TestScanWidth:
         for frac in fracs:
             for big_k, limit in ((7**5, 7**9 + 1), (1, 2**62 + 1), (3**30, 2**63 - 1)):
                 thr = bounds._threshold_table(frac, big_k, 40, limit)
-                assert thr.dtype == np.int64 and len(thr) == 41
+                # the scan kernel indexes it as an int64 array, which must hold every entry
+                assert np.array(thr, dtype=np.int64).tolist() == thr and len(thr) == 41
                 for a in range(41):
                     exact = frac * big_k * a
                     t = int(thr[a])

@@ -1,0 +1,160 @@
+"""Exact P_l and the list-count kernel against the search they replaced.
+
+``oracle_exact`` is the exact list-color function as it was before it
+counted from partition terms: every assignment of ``canonical_assignments``
+in order, in batches, counted by the brute-force kernel ``coloring_counts``,
+keeping the first minimum.  The library must report the same value and the
+same witness.  The partition terms themselves are checked against Dohmen's
+identity: grouped by their blocks, the NB(H) members of the walk carry each
+partition's whole signed count, under any edge labelling.
+"""
+
+import functools
+import itertools
+import math
+import operator
+import random
+
+import numpy as np
+from canonical import canonical_assignments
+
+from hyperchrom import Hypergraph, ListAssignment, list_color_function_exact
+from hyperchrom import _kernels, listcolor
+from hyperchrom.cycles import _nb_walk
+from hyperchrom.generators import iter_edge_antichains, random_antichain
+
+
+def oracle_exact(H, k):
+    """(P_l(H, k), first minimizing list tuple) by brute force over canonical assignments."""
+    best, best_lists = None, None
+    walk = canonical_assignments(H.n, k)
+    while batch := list(itertools.islice(walk, 4096)):
+        counts = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
+        idx = int(counts.argmin())
+        if best is None or counts[idx] < best:
+            best, best_lists = int(counts[idx]), batch[idx]
+        if best == 0:
+            break
+    return best, best_lists
+
+
+def _check_exact(H, k):
+    value, witness = list_color_function_exact(H, k)
+    assert (value, tuple(witness.lists[v] for v in range(1, H.n + 1))) == oracle_exact(H, k), (
+        H.edges,
+        k,
+    )
+
+
+def test_exact_matches_oracle_on_small_antichains():
+    pairs = 0
+    for n in range(1, 5):
+        for H in iter_edge_antichains(n, 3):
+            for k in range(1, 12 // n + 1):
+                _check_exact(H, k)
+                pairs += 1
+    assert pairs == 321
+
+
+def test_exact_matches_oracle_on_complete_instances():
+    for r in (3, 4, 2):
+        _check_exact(Hypergraph(6, list(itertools.combinations(range(1, 7), r))), 2)
+
+
+def test_exact_past_one_mask_word(monkeypatch):
+    # n * k >= 64: a list's colors span two 63-bit words
+    monkeypatch.setenv("HYPERCHROM_BUDGET", "exact_plk=130")
+    for H, k, want in (
+        (Hypergraph(65, [(1, 2, 3)]), 1, 0),
+        (Hypergraph(64, [(1, 2)]), 1, 0),
+        (Hypergraph(1, []), 64, 64),
+    ):
+        value, witness = list_color_function_exact(H, k)
+        assert (value, witness) == (want, ListAssignment.from_constant(H.n, k)), (H.n, k)
+
+
+def test_options_encode_colors_past_one_word():
+    # each option decodes to the k-subset the canonical generator allows, in order
+    for n, k in ((65, 1), (33, 2), (1, 64)):
+        options = listcolor._assignment_options(n, k)
+        for used, opts in enumerate(options):
+            subsets = itertools.combinations(range(1, used + k + 1), k)
+            want = [s for s in subsets if s[-1] - used <= sum(a > used for a in s)]
+            assert [tuple(listcolor._mask_colors(row)) for row, _ in opts] == want, (n, k, used)
+            assert all(len(row) == -(-n * k // 63) and max(row) < 2**63 for row, _ in opts)
+            assert [nxt for _, nxt in opts] == [max(used, s[-1]) for s in want]
+
+
+def test_weights_past_int64_give_the_exact_total():
+    # two words per list; the weights cancel to 5 per common color, plus 7
+    masks = np.array(
+        [
+            [[0b1011, 0b0110], [1 << 62, 0]],
+            [[0b0011, 0b0111], [1 << 62, 1]],
+        ],
+        dtype=np.int64,
+    )
+    terms = [
+        (2**63 + 5, [(0, 1)]),
+        (-(2**63), [(0, 1)]),
+        (3 * 2**63, [(0,), (1,)]),
+        (-3 * 2**63, [(0,), (1,)]),
+        (7, []),
+    ]
+    common = [2 + 1, 2 + 0]  # per column: shared bits of word 0 plus word 1
+    assert _kernels.list_counts(masks, terms).tolist() == [5 * c + 7 for c in common]
+
+
+def test_list_counts_match_python_popcounts():
+    rng = random.Random(2)
+    for _ in range(50):
+        n, words, count = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 6)
+        masks = [[[rng.getrandbits(63) for _ in range(count)] for _ in range(words)] for _ in range(n)]
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            blocks = [tuple(sorted(vertices[a:b])) for a, b in zip([0] + cuts, cuts)]
+            terms.append((rng.randint(-1000, 1000), rng.sample(blocks, rng.randint(0, len(blocks)))))
+        want = []
+        for c in range(count):
+            total = 0
+            for weight, blocks in terms:
+                for block in blocks:
+                    words_and = [functools.reduce(operator.and_, (masks[v][w][c] for v in block)) for w in range(words)]
+                    weight *= sum(word.bit_count() for word in words_and)
+                total += weight
+            want.append(total)
+        got = _kernels.list_counts(np.array(masks, dtype=np.int64), terms)
+        assert got.tolist() == want
+
+
+def _random_eta(m, rng):
+    eta = list(range(1, m + 1))
+    rng.shuffle(eta)
+    return eta
+
+
+def test_partition_terms_group_nb_members():
+    rng = random.Random(6)
+    cancelled = 0
+    for _ in range(150):
+        n = rng.randint(3, 7)  # comb(n, n // 2): the widest antichain of edges
+        H = random_antichain(n, rng.randint(0, min(9, math.comb(n, n // 2))), rng)
+        H = Hypergraph(n + rng.randint(0, 2), H.edges)  # isolated vertices
+        k = rng.randint(1, 4)
+        groups: dict[frozenset, int] = {}
+        for _mask, size, _comps, blocks in _nb_walk(H, _random_eta(H.m, rng)):
+            key = frozenset(blocks)
+            groups[key] = groups.get(key, 0) + (-1) ** size
+        cancelled += sum(not count for count in groups.values())
+        want = {
+            key: count * k ** (H.n - sum(b.bit_count() for b in key))
+            for key, count in groups.items()
+            if count
+        }
+        terms = listcolor._partition_terms(H, k)
+        got = {frozenset(sum(1 << v for v in block) for block in blocks): w for w, blocks in terms}
+        assert len(got) == len(terms) and got == want, H.edges
+    assert cancelled > 0  # some partitions' NB members cancel to zero

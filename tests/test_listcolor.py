@@ -220,8 +220,11 @@ class TestListColorFunction:
                 for rows, _ in _kernels._orbit_rows(n, options, limit):
                     batch = itertools.islice(want, len(rows))
                     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
-                    expected = np.fromiter(flat, dtype=np.int64, count=rows.size)
-                    assert np.array_equal(rows.ravel(), expected), (n, k, limit)
+                    expected = np.fromiter(flat, dtype=np.int64, count=rows.size * k)
+                    # n * k <= 12: each list is one word, color c at bit c - 1
+                    masks = np.bitwise_or.reduce(np.left_shift(1, expected - 1).reshape(-1, k), axis=1)
+                    assert rows.shape[1:] == (n, 1), (n, k, limit)
+                    assert np.array_equal(rows.ravel(), masks), (n, k, limit)
                 assert next(want, None) is None, (n, k, limit)
 
     def test_budget_refusal(self, e2):

@@ -23,6 +23,7 @@ from hyperchrom import (
 )
 from hyperchrom import bounds
 from hyperchrom.cycles import _nb_walk, normalize_eta
+from hyperchrom.hypercore import _set_bits
 from hyperchrom.generators import iter_edge_antichains, random_antichain
 from reference_walk import reference_nb_walk
 
@@ -78,17 +79,16 @@ def _check_walk(H, eta, k=2):
     assert chromatic_polynomial(H, eta=eta) == poly
     assert bounds._even_edge_table(H, eta) == even
 
-    members, p_k = bounds._member_table(H, eta, k)
-    got = sorted((weight, tuple(sorted(map(tuple, blocks)))) for weight, blocks in members)
+    walked = sorted(
+        (mask, size, comps, tuple(sorted(tuple(_set_bits(b)) for b in blocks)))
+        for mask, size, comps, blocks in _nb_walk(H, eta)
+    )
     want = []
     for mask, size, comps in oracle:
         partition = _oracle_partition(H, mask)
         assert len(partition) == comps
-        singletons = sum(len(part) == 1 for part in partition)
-        blocks = tuple(part for part in partition if len(part) > 1)
-        want.append(((-1) ** size * k**singletons, blocks))
-    assert got == sorted(want)
-    assert p_k == poly.eval(k)
+        want.append((mask, size, comps, tuple(sorted(part for part in partition if len(part) > 1))))
+    assert walked == want
     assert bounds._even_weights(even, k) == [
         sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in even
     ]
