@@ -10,8 +10,8 @@ Structural statistics:
 * ``components(H, A)`` counts connected components of the spanning
   subhypergraph with edge set A; isolated vertices count.  Components are
   kept as vertex bitmasks: adding an edge fuses every block its vertex mask
-  meets (``_add_block``).  The NB walk and ``listcolor.beta`` build their
-  components with the same helper.
+  meets (``_add_block``).  The NB walk, ``listcolor.beta`` and the list
+  expansion build their components with the same helper.
 * ``rho(H)`` is the minimum of ``|e \\ e'|`` over ordered pairs of distinct
   edges; for r-uniform H it satisfies 1 <= rho <= r, with rho >= 2 exactly
   when no two edges overlap in r-1 vertices.
@@ -202,9 +202,7 @@ def validate(H: Hypergraph) -> list[str]:
     edge contained in another.  Violations are data, not exceptions.  The
     verdict is computed once per instance and cached on it.
     """
-    if "violations" not in H._cache:
-        H._cache["violations"] = _violations(H)
-    return list(H._cache["violations"])
+    return list(_cached_violations(H))
 
 
 def require_valid(H: Hypergraph) -> None:
@@ -212,11 +210,18 @@ def require_valid(H: Hypergraph) -> None:
 
     The computational entry points call this before they index anything by
     vertex, so an invalid instance gets an InputError rather than a wrong
-    count or a raw IndexError.
+    count or a raw IndexError.  It reads the cached verdict without copying it.
     """
-    violations = validate(H)
+    violations = _cached_violations(H)
     if violations:
         raise InputError(f"invalid hypergraph: {violations[0]}")
+
+
+def _cached_violations(H: Hypergraph) -> list[str]:
+    """The violations of H, computed once and cached on it; callers must not change the list."""
+    if "violations" not in H._cache:
+        H._cache["violations"] = _violations(H)
+    return H._cache["violations"]
 
 
 def _violations(H: Hypergraph) -> list[str]:

@@ -10,7 +10,12 @@ brute-force route enumerates colorings directly (``count_L_colorings``,
 through ``_kernels.coloring_counts``).  The expansion route sums
 (-1)^|A| * beta(A, L) over the broken-free subsets A, where beta(A, L)
 multiplies, over the components of (V, A), the number of colors common
-to all lists of the component.  The exact list-color function takes a
+to all lists of the component.  It streams the members from
+``nb_subsets`` and builds each member's components from those of the
+nearest earlier member it contains, one added edge in the walk's order.
+Common colors are counted as the popcount of an AND of per-vertex color
+bitmasks, by the one helper that ``alpha`` and ``beta`` use too.  The
+exact list-color function takes a
 third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
 batches of assignments from those terms with ``_kernels.list_counts``.
@@ -26,6 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping
 
 from . import budget
@@ -171,16 +177,34 @@ def _check_match(H: Hypergraph, L: ListAssignment) -> None:
         raise InputError(f"assignment covers {L.n} vertices, hypergraph has {H.n}")
 
 
+def _color_masks(L: ListAssignment) -> list[int]:
+    """Per vertex (0-based), its list as a bitmask over the ranks of ``L.universe()``."""
+    bit = {c: 1 << i for i, c in enumerate(L.universe())}  # colors matter only by equality
+    masks = []
+    for v in range(1, L.n + 1):
+        mask = 0
+        for c in L.lists[v]:
+            mask |= bit[c]
+        masks.append(mask)
+    return masks
+
+
+def _common_count(color_masks: list[int], block: int) -> int:
+    """The number of colors common to the lists of the vertices in ``block``,
+    a nonempty vertex bitmask, from ``_color_masks``."""
+    vertices = _set_bits(block)
+    common = color_masks[next(vertices)]
+    for v in vertices:
+        common &= color_masks[v]
+    return common.bit_count()
+
+
 def alpha(H: Hypergraph, L: ListAssignment) -> AlphaProfile:
     """Per-edge and total list disagreement of L on H."""
     _check_match(H, L)
     require_valid(H)
-    per_edge = []
-    for edge in H.edges:
-        common = set(L.lists[edge[0]])
-        for v in edge[1:]:
-            common &= set(L.lists[v])
-        per_edge.append(L.k - len(common))
+    color_masks = _color_masks(L)
+    per_edge = [L.k - _common_count(color_masks, emask) for emask in H.edge_vertex_masks()]
     return AlphaProfile(tuple(per_edge), sum(per_edge))
 
 
@@ -192,13 +216,10 @@ def beta(H: Hypergraph, L: ListAssignment, A: EdgeSubset | Iterable[int]) -> int
     """
     _check_match(H, L)
     blocks, covered = _subset_blocks(H, A)
+    color_masks = _color_masks(L)
     prod = 1
     for block in blocks:
-        vertices = _set_bits(block)
-        common = set(L.lists[next(vertices) + 1])
-        for v in vertices:
-            common.intersection_update(L.lists[v + 1])
-        prod *= len(common)
+        prod *= _common_count(color_masks, block)
     return prod * L.k ** (H.n - covered.bit_count())
 
 
@@ -224,16 +245,44 @@ def count_L_colorings_expansion(
     """P(H, L) by the signed expansion over broken-free edge subsets.
 
     Pure Python on exact ints, sharing no code with the brute-force
-    count; the two are checked against each other in the tests.  ``catalog``
-    may only be H's own, ``enumerate_delta_cycles(H)``; any other raises InputError.
+    count; the two are checked against each other in the tests.  The
+    members A stream from ``nb_subsets``, and each term is beta(A, L).
+    A member's components are built from the nearest earlier member that
+    it contains: a stack holds (mask, blocks, covered) for a chain of
+    nested members, and A folds in only the edges its top entry lacks,
+    one edge in the walk's preorder, though any stream order gives the
+    same sum.  A block's common-color count is the popcount of the AND
+    of its vertices' color bitmasks, formed once per block.  ``catalog``
+    may only be H's own, ``enumerate_delta_cycles(H)``; any other raises
+    InputError.
     """
     _check_match(H, L)
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     _require_own_catalog(H, catalog)
+    members = nb_subsets(H, eta=eta)  # refuses an invalid H before its masks are read
+    vmasks = H.edge_vertex_masks()
+    color_masks = _color_masks(L)
+    powers = [L.k**i for i in range(H.n + 1)]  # factor k per isolated vertex
+    common: dict[int, int] = {}  # block -> its common-color count
+    stack: list[tuple[int, list[int], int]] = [(0, [], 0)]  # nested members, innermost last
     total = 0
-    for A in nb_subsets(H, eta=eta):
-        term = beta(H, L, A)
-        total += -term if A.size % 2 else term
+    for A in members:
+        amask = A.mask
+        while stack[-1][0] & ~amask:
+            stack.pop()
+        mask, blocks, covered = stack[-1]
+        if amask != mask:
+            for i in _set_bits(amask ^ mask):
+                blocks = _add_block(blocks, vmasks[i])
+                covered |= vmasks[i]
+            stack.append((amask, blocks, covered))
+        term = powers[H.n - covered.bit_count()]
+        for block in blocks:
+            count = common.get(block)
+            if count is None:
+                count = common[block] = _common_count(color_masks, block)
+            term *= count
+        total += -term if amask.bit_count() % 2 else term
     return total
 
 
@@ -278,7 +327,12 @@ def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]
     subset as mask words, colors used after it) for ``_kernels._orbit_rows``,
     whose walk then starts from the constant assignment {1..k}^n.  Color c
     is bit (c - 1) % 63 of word (c - 1) // 63, so every word fits in int64.
+    A list takes f fresh colors and k - f used ones, so options[used] holds
+    sum over f of C(used, k - f) lists; their total is checked against the
+    brute_force cap before any list is built.
     """
+    total = sum(comb(used, k - f) for used in range((n - 1) * k + 1) for f in range(k + 1))
+    budget.check_cap("brute_force", total, "exact list-color option lists")
     words = -(-n * k // _WORD)
     options = []
     for used in range((n - 1) * k + 1):

@@ -8,7 +8,7 @@ with each label twice.
 
 import random
 
-from hyperchrom import EdgeSubset, beta, components
+from hyperchrom import EdgeSubset, ListAssignment, beta, components
 from hyperchrom.generators import iter_edge_antichains, random_antichain, random_assignment
 
 
@@ -41,6 +41,9 @@ def _oracle_beta(L, parts):
 def _check_every_subset(H, rng):
     k = rng.randint(1, 3)
     L = random_assignment(H.n, k, k + 2, rng)
+    # the same pattern in colors past int64, and lists that share no color
+    big = ListAssignment(k, {v: [c + 2**63 for c in cs] for v, cs in L.lists.items()})
+    apart = ListAssignment(k, {v: range(k * v, k * v + k) for v in L.lists})
     for mask in range(1 << H.m):
         A = EdgeSubset.from_mask(H.m, mask)
         repeated = list(A.labels) * 2
@@ -50,6 +53,8 @@ def _check_every_subset(H, rng):
         for given in (A, repeated):
             assert components(H, given) == len(parts), (H, A)
             assert beta(H, L, given) == want_beta, (H, L.lists, A)
+        assert beta(H, big, A) == want_beta, (H, big.lists, A)
+        assert beta(H, apart, A) == _oracle_beta(apart, parts), (H, apart.lists, A)
 
 
 def test_every_subset_of_small_antichains():

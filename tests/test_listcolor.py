@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,12 @@ class TestAlphaBeta:
         )
         assert alpha(e2, L).per_edge == (0, 3)
         assert alpha(e2, L).total == 3
+        # colors count only by equality, even past int64
+        big = ListAssignment(3, {v: [c + 2**63 for c in cs] for v, cs in L.lists.items()})
+        assert alpha(e2, big) == alpha(e2, L)
+        # no two lists overlap: every edge disagrees fully
+        apart = ListAssignment(3, {v: [3 * v - 2, 3 * v - 1, 3 * v] for v in range(1, 6)})
+        assert alpha(e2, apart).per_edge == (3, 3)
 
     def test_beta_counts_component_intersections(self, e2):
         L = ListAssignment.from_constant(5, 2)
@@ -127,6 +134,11 @@ class TestAlphaBeta:
     def test_beta_disjoint_lists_kill_component(self, e1):
         L = ListAssignment(2, {1: [1, 2], 2: [1, 2], 3: [3, 4]})
         assert beta(e1, L, [1]) == 0
+        big = ListAssignment(2, {1: [1, 2**63], 2: [2**64, 2**63], 3: [2**63, 5]})
+        assert beta(e1, big, [1]) == 1
+        assert beta(e1, big, ()) == 8
+        apart = ListAssignment(2, {1: [1, 2**63], 2: [2, 3], 3: [4, 2**64]})
+        assert beta(e1, apart, [1]) == 0
 
     def test_vertex_count_must_match(self, e2):
         with pytest.raises(InputError):
@@ -232,6 +244,26 @@ class TestListColorFunction:
         with pytest.raises(BudgetExceededError) as exc:
             list_color_function_exact(e2, 3)
         assert exc.value.cap_name == "exact_plk"
+
+    def test_option_count_matches_built_lists(self, monkeypatch):
+        # the closed-form count is exact: a cap at it builds, one below refuses
+        for n, k in ((2, 2), (3, 2), (4, 3), (2, 6), (6, 2), (12, 1)):
+            monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+            built = sum(map(len, listcolor._assignment_options(n, k)))
+            monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built}")
+            assert sum(map(len, listcolor._assignment_options(n, k))) == built
+            monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built - 1}")
+            with pytest.raises(BudgetExceededError, match=f"needs {built} but cap brute_force={built - 1}"):
+                listcolor._assignment_options(n, k)
+
+    def test_option_lists_refused_before_building(self, monkeypatch, e1):
+        # k = 40: the last vertex alone would scan C(120, 40) subsets before any row
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "exact_plk=120")
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError) as exc:
+            list_color_function_exact(e1, 40)
+        assert time.monotonic() - start < 1.0
+        assert exc.value.cap_name == "brute_force"
 
     def test_search_upper_bounds_exact(self, e2):
         exact, _ = list_color_function_exact(e2, 2)
