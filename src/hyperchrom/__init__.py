@@ -7,8 +7,8 @@ function exactly on small instances, and verifies the family of lower
 bounds and thresholds relating the two quantities.
 
 Importing the package loads neither numpy nor mpmath.  numpy is imported
-only by ``_kernels``, which the brute-force counts, the exact list-color
-function and the assignment scan import when they run; mpmath only by
+only by ``_kernels``, which the exact list-color function and the
+assignment scan import when they run; mpmath only by
 ``closed_forms``, the extended-precision closed forms, C_THM3 and
 verify_grids.  Their names here, and ``get_backend``, resolve on first
 use through the module ``__getattr__`` (PEP 562) and its ``_LAZY`` table.

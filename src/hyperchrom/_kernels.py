@@ -1,46 +1,44 @@
-"""Array kernels: the brute-force counter, the list-count kernel and the scan.
+"""Array kernels: the list-count kernel and the omit-pattern scan.
 
 Every kernel runs vectorized numpy on tables of rows, and each edge is
-tested on a whole table at once.  The brute-force counter numbers its
-colorings in one radix, and ``_digit_tables`` yields their digits a table
-of at most _CHUNK numbers at a time; it serves ``count_proper_colorings``
-and ``count_L_colorings``.  ``list_counts`` gives P(H, L) for a table of
-assignments held as per-vertex list bitmasks, from the partition terms of
-Whitney's expansion (``listcolor._partition_terms``): per term, its weight
-times, per block, the popcount of the AND of the block's masks.  The scan
-and the exact list-color function both count with it, and both walk one
-row per color-renaming class: ``_orbit_rows`` grows the rows a vertex at a
-time from per-state option lists, in depth-first lexicographic order.  For
-the scan a row is a restricted growth string, a set partition of the
-vertices into at most num_colors blocks, and it counts for the
-(num_colors)_j omit patterns (j its block count) that rename to it; for
-the exact search a row holds each vertex's list as 63-bit mask words.  The
-walk over NB(H) is not a kernel; it runs on Python ints in ``cycles.py``.
+tested on a whole table at once.  ``list_counts`` gives P(H, L) for a
+table of assignments held as per-vertex list bitmasks, from the partition
+terms of Whitney's expansion (``listcolor._partition_terms``): per term,
+its weight times, per block, the popcount of the AND of the block's masks.
+The scan and the exact list-color function both count with it, and both
+walk one row per color-renaming class: ``_orbit_rows`` grows the rows a
+vertex at a time from per-state option lists, in depth-first
+lexicographic order.  For the scan a row is a restricted growth string, a
+set partition of the vertices into at most num_colors blocks, and it
+counts for the (num_colors)_j omit patterns (j its block count) that
+rename to it; for the exact search a row holds each vertex's list as
+63-bit mask words.  The brute-force coloring count is not a kernel here:
+it runs on bit-sliced Python ints in ``chromatic.py``, and the walk over
+NB(H) on Python ints in ``cycles.py``.
 
-Kernels take the hypergraph and read its edges through ``_edges``, which
-refuses an invalid instance once and caches the 0-based vertex tuples.
-Width: the brute_force cap stays below 2^63 and bounds k^n (the scan's
-caller checks (k+1)^n), so every coloring count, P(H, L), P(H, k) and their
-difference fits in int64, and so does the scan's orbit weight
-(num_colors)_j <= num_colors^n and each weighted count, whose total is
-num_colors^n.  A partition term's weight c * k^(isolated vertices) may pass
-2^63; ``list_counts`` takes it in two's complement int64, so each product
-and the running sum are exact modulo 2^64, and since the true total
-P(H, L) <= k^n fits, so is the result.  A block's popcount is at most the
-list size, and is kept uint8 while a list fits one word.  The corollary
-bounds arrive as exact integer lists clipped to +-(k^n + 1).  The per-edge
-bound's sum is formed in int64; the scan's caller refuses an instance where
-(r - 1) times the sum of |prop_c[e]| reaches 2^63, so it is exact.  The CSR
-encoders at the bottom serve the benchmark only; no kernel reads them.
+The scan reads H's edges through ``_edges``, which refuses an invalid
+instance once and caches the 0-based vertex tuples.  Width: the callers'
+brute_force cap stays below 2^63 and bounds k^n (the scan's caller checks
+(k+1)^n), so P(H, L), P(H, k) and their difference fit in int64, and so
+does the scan's orbit weight (num_colors)_j <= num_colors^n and each
+weighted count, whose total is num_colors^n.  A partition term's weight
+c * k^(isolated vertices) may pass 2^63; ``list_counts`` takes it in two's
+complement int64, so each product and the running sum are exact modulo
+2^64, and since the true total P(H, L) <= k^n fits, so is the result.  A
+block's popcount is at most the list size, and is kept uint8 while a list
+fits one word.  The corollary bounds arrive as exact integer lists clipped
+to +-(k^n + 1).  The per-edge bound's sum is formed in int64; the scan's
+caller refuses an instance where (r - 1) times the sum of |prop_c[e]|
+reaches 2^63, so it is exact.  The CSR encoders at the bottom serve the
+benchmark only; no kernel reads them.
 
 This is the only module that imports numpy.  No module imports it at load
-time: ``count_proper_colorings``, ``count_L_colorings``,
-``list_color_function_exact`` and ``scan_assignments_one_extra_color``
+time: ``list_color_function_exact`` and ``scan_assignments_one_extra_color``
 import it when they run.  ``closed_forms``' float grids take numpy from
 here, and ``hyperchrom.get_backend`` loads this module on first use.  So
-``delta-cycles``, ``nb``, ``gen``, ``chromatic`` without ``--oracle`` and
-``verify --theorem`` (when the exact check is over its caps) run without
-numpy.
+only ``plk`` (its exact search), ``verify --grids`` and ``verify --theorem``
+(when its exact check fits the caps) load numpy; every other command runs
+without it.
 """
 
 from __future__ import annotations
@@ -53,14 +51,12 @@ from .hypercore import require_valid
 
 __all__ = [
     "get_backend",
-    "coloring_counts",
     "list_counts",
     "omit_pattern_scan",
     "edges_csr",
     "broken_csr",
 ]
 
-_CHUNK = 1 << 16
 _ROWS = 1 << 12  # partitions per scan table; list_counts holds each block's counts for a table
 
 
@@ -76,27 +72,6 @@ def _edges(H) -> list[tuple[int, ...]]:
         require_valid(H)
         H._cache[key] = [tuple(v - 1 for v in edge) for edge in H.edges]
     return H._cache[key]
-
-
-def _digit_tables(radix, n):
-    """The radix-ary digits of 0..radix^n - 1 in order, vertex-major (digit v
-    varies slowest for v = 0), as int64 views of one buffer of at most _CHUNK
-    columns.  The low j digits, radix^j the largest power within _CHUNK, are
-    built once; each table repeats them under s consecutive values of the
-    high digits, as many as fit, which are decoded per table."""
-    width, j = 1, 0
-    while j < n and 1 < radix and width * radix <= _CHUNK:
-        width, j = width * radix, j + 1
-    top = radix ** (n - j)
-    s = max(1, min(top, _CHUNK // width))
-    table = np.empty((n, s, width), dtype=np.int64)
-    table[n - j :] = np.indices((radix,) * j).reshape(j, 1, width)
-    for lo in range(0, top, s):
-        high = np.arange(lo, min(lo + s, top), dtype=np.int64)
-        for v in range(n - j - 1, -1, -1):
-            table[v, : high.size] = (high % radix)[:, None]
-            high //= radix
-        yield table[:, : high.size].reshape(n, high.size * width)
 
 
 def _orbit_rows(n, options, limit):
@@ -159,41 +134,6 @@ def _partitions(n, num_colors):
     weights = np.array(falling, dtype=np.int64)
     for rows, blocks in _orbit_rows(n, options, _ROWS):
         yield rows[:, :, 0].T, weights[blocks]
-
-
-def _monochromatic(colors, edges):
-    """True where some edge is monochromatic; colors is (..., n, count)."""
-    bad = np.zeros(colors.shape[:-2] + colors.shape[-1:], dtype=bool)
-    for vs in edges:
-        first = colors[..., vs[0], :]
-        eq = colors[..., vs[1], :] == first
-        for u in vs[2:]:
-            eq &= colors[..., u, :] == first
-        bad |= eq
-    return bad
-
-
-def coloring_counts(H, k, values=None):
-    """Proper colorings of H, one count per color assignment.
-
-    A coloring picks a digit 0..k-1 per vertex, and under assignment b
-    vertex v gets color values[b, v, digit], values being integers of
-    shape (batch, n, k), as an array or nested lists.  values None counts
-    the plain k-colorings, the digits being the colors.  Returns int64
-    counts of shape (batch,), or (1,) when values is None.
-    """
-    edges = _edges(H)
-    if values is not None:
-        values = np.asarray(values, dtype=np.int64).reshape(len(values), H.n, int(k))
-    batch = 1 if values is None else values.shape[0]
-    counts = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(H.n)[:, None]
-    for digits in _digit_tables(int(k), H.n):
-        bstep = max(1, _CHUNK // max(1, digits.size))  # assignments per step, about _CHUNK colors
-        for blo in range(0, batch, bstep):
-            colors = digits if values is None else values[blo : blo + bstep, rows, digits]
-            counts[blo : blo + bstep] += digits.shape[1] - _monochromatic(colors, edges).sum(axis=-1)
-    return counts
 
 
 def list_counts(masks, terms):

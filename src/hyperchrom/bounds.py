@@ -33,7 +33,7 @@ from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
 from .errors import BudgetExceededError, InputError, require_int
 from .hypercore import Hypergraph, _set_bits
-from .listcolor import ListAssignment, _partition_terms, alpha, list_color_function_exact
+from .listcolor import ListAssignment, _exact_caps, _partition_terms, alpha, list_color_function_exact
 
 __all__ = [
     "STRICT_SLACK",
@@ -331,6 +331,9 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     details: dict = {}
     if effort != "threshold":
         try:
+            # every refusal before the search: exact P_l's first, as when it ran first
+            _exact_caps(H.n, k)
+            budget.check_cap("nb_edges", m, "broken delta-cycle expansion")
             plk, _witness = list_color_function_exact(H, k)
             p = chromatic_polynomial(H).eval(k)
         except BudgetExceededError:

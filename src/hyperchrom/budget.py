@@ -12,7 +12,8 @@ var HYPERCHROM_BUDGET overrides caps at run time:
 Cap names:
   nb_edges     max edge count for delta-cycle / NB enumeration   (default 24)
   brute_force  max colorings a brute-force counter may visit     (default 1e8,
-               below 2^63 so the counts fit in int64)
+               below 2^63 so the counts of exact P_l and the
+               scan fit in int64)
   exact_plk    max n*k for exact list-color-function enumeration (default 12)
 """
 
@@ -51,7 +52,7 @@ def _parse_env(raw: str) -> dict:
             )
         overrides[key] = _parse_int(value.strip())
     if overrides.get("brute_force", 0) >= 2**63:
-        # coloring counts are int64, and k^n stays below this cap
+        # exact P_l and the scan count in int64, and k^n stays below this cap
         cap = overrides["brute_force"]
         raise InputError(f"HYPERCHROM_BUDGET: brute_force must be below 2^63, got {cap}")
     return overrides

@@ -6,12 +6,15 @@ contributes (-1)^|A| * k^c(A), where c(A) counts connected components of
 the spanning subhypergraph (V, A).  The expansion is independent of the
 edge ordering used to break cycles, which the tests exercise directly.
 
-Counting proper colorings by brute force lives here too; it is the
-oracle the expansion is checked against, and the one function here that
-imports ``_kernels`` (and with it numpy), when it runs.
+Counting colorings by brute force lives here too; it is the oracle the
+expansion is checked against.  One pure-Python kernel, ``_count_colorings``,
+counts on bit-sliced ints and serves both ``count_proper_colorings`` and
+``listcolor.count_L_colorings``, so neither loads numpy.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from . import budget
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog
@@ -23,6 +26,9 @@ __all__ = [
     "chromatic_polynomial",
     "count_proper_colorings",
 ]
+
+_WIDTH = 1 << 16  # bits per bit-sliced int: the low vertices' k^j colorings
+
 
 class IntPolynomial:
     """Integer polynomial in one variable, stored sparsely.
@@ -140,6 +146,76 @@ def count_proper_colorings(H: Hypergraph, k: int) -> int:
     if k == 0:
         return 0
     budget.check_cap("brute_force", k**H.n, "proper-coloring enumeration")
-    from . import _kernels
+    return _count_colorings(H, [range(k)] * H.n)
 
-    return int(_kernels.coloring_counts(H, k)[0])
+
+def _count_colorings(H: Hypergraph, lists) -> int:
+    """Colorings that give vertex v a color of lists[v - 1], no edge monochromatic.
+
+    Every list holds k >= 1 distinct ints.  A vertex in no edge multiplies
+    the count by k.  The s others number their colorings by digits, digit
+    d of vertex v standing for color lists[v - 1][d], and the last j of
+    them (the low vertices), k^j the largest power within _WIDTH, vary
+    inside one Python int of k^j bits, one bit per coloring.  For each low
+    vertex and color, a mask marks the bits where the vertex takes that
+    color: for the vertex p places from the last, a run of k^p bits with
+    period k^(p + 1), built by doubling.  An edge wholly among the low
+    vertices gives one fixed mask of monochromatic bits: the OR, over the
+    colors its lists share, of the AND of its vertices' masks.  The s - j
+    high vertices take each tuple of colors in turn.  An edge that meets
+    them can only be monochromatic in the one color its high vertices
+    share, if they share one; then it adds the AND of its low vertices'
+    masks for that color, and with no low vertex it rules out the whole
+    tuple.  Each tuple counts the bits left clear.
+
+    Memory: j*k masks of at most _WIDTH bits, and a constant number of
+    working masks of that width.  Time: k^(s - j) tuples, each a few
+    big-int operations per edge that meets the high vertices.  The count
+    is an exact Python int.
+    """
+    k = len(lists[0]) if lists else 1
+    order = sorted({v for edge in H.edges for v in edge})
+    width, j = 1, 0
+    while j < len(order) and width * k <= _WIDTH:
+        width, j = width * k, j + 1
+    high, low = order[: len(order) - j], order[len(order) - j :]
+    full = (1 << width) - 1
+    masks = {}  # low vertex -> {color: the bits where it takes that color}
+    for p, v in enumerate(reversed(low)):
+        run = k**p
+        zero, span = (1 << run) - 1, run * k  # the bits where v takes digit 0
+        while span < width:
+            zero |= zero << span
+            span *= 2
+        zero &= full
+        masks[v] = {color: zero << (d * run) for d, color in enumerate(lists[v - 1])}
+    slot = {v: i for i, v in enumerate(high)}
+    fixed = 0  # colorings of the low vertices that make a low edge monochromatic
+    mixed = []  # per edge meeting the high vertices: (first slot, other slots, low masks)
+    for edge in H.edges:
+        slots = [slot[v] for v in edge if v in slot]
+        lows = [masks[v] for v in edge if v in masks]
+        if slots:
+            mixed.append((slots[0], slots[1:], lows))
+            continue
+        for color in lows[0]:
+            both = lows[0][color]
+            for vm in lows[1:]:
+                both &= vm.get(color, 0)
+            fixed |= both
+    total = 0
+    for colors in product(*(lists[v - 1] for v in high)):
+        bad = fixed
+        for first, rest, lows in mixed:
+            color = colors[first]
+            if any(colors[i] != color for i in rest):
+                continue
+            if not lows:
+                break  # a high edge is monochromatic under every low coloring
+            both = lows[0].get(color, 0)
+            for vm in lows[1:]:
+                both &= vm.get(color, 0)
+            bad |= both
+        else:
+            total += width - bad.bit_count()
+    return total * k ** (H.n - len(order))

@@ -9,11 +9,12 @@ once, in ``build_parser``.  ``gen`` takes its families from the
 and seed; every numeric result is also available as a structured JSON
 record via --json.
 
-Only ``verify --grids`` imports mpmath, and only the commands that run a
-brute-force count or the assignment scan import numpy (``chromatic
---oracle``, ``list-count``, ``plk``, and ``verify --theorem`` when its
-exact check fits the caps), each when it runs; the others start without
-either library.
+Only ``verify --grids`` imports mpmath, and only the commands that run
+the exact list-color function or the float grids import numpy (``plk``
+without ``--heuristic``, ``verify --grids``, and ``verify --theorem`` when
+its exact check fits the caps), each when it runs; the others, the
+brute-force counts of ``chromatic --oracle`` and ``list-count`` included,
+start without either library.
 
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
 (oracle or route mismatch, a failing bound), 2 input error, 3 budget

@@ -7,7 +7,9 @@ minimum of P(H, L) over all k-assignments L.
 
 Three routes to P(H, L) live here, and they share no counting code.  The
 brute-force route enumerates colorings directly (``count_L_colorings``,
-through ``_kernels.coloring_counts``).  The expansion route sums
+through ``chromatic._count_colorings``, the bit-sliced kernel that counts
+proper colorings too; the lists' colors key its masks, so they matter
+only by equality).  The expansion route sums
 (-1)^|A| * beta(A, L) over the broken-free subsets A, where beta(A, L)
 multiplies, over the components of (V, A), the number of colors common
 to all lists of the component.  It streams the members from
@@ -19,8 +21,9 @@ exact list-color function takes a
 third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
 batches of assignments from those terms with ``_kernels.list_counts``.
-The kernels, and with them numpy, are imported when a function that uses
-them runs, so loading this module loads no numpy.
+``_kernels``, and with it numpy, is imported only when the exact
+list-color function runs, so loading this module or counting by brute
+force loads no numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from . import budget
+from .chromatic import _count_colorings
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
 from .errors import InputError, require_int
 from .hypercore import EdgeSubset, Hypergraph, _add_block, _set_bits, _subset_blocks, require_valid
@@ -228,12 +232,8 @@ def count_L_colorings(H: Hypergraph, L: ListAssignment) -> int:
     _check_match(H, L)
     if H.n > 0:
         budget.check_cap("brute_force", L.k**H.n, "list-coloring enumeration")
-    rank = {c: i for i, c in enumerate(L.universe())}  # colors matter only by equality
-    values = [[rank[c] for c in L.lists[v]] for v in range(1, H.n + 1)]
     require_valid(H)
-    from . import _kernels
-
-    return int(_kernels.coloring_counts(H, L.k, [values])[0])
+    return _count_colorings(H, [L.lists[v] for v in range(1, H.n + 1)])
 
 
 def count_L_colorings_expansion(
@@ -314,6 +314,24 @@ def _partition_terms(H: Hypergraph, k: int) -> list[tuple[int, list[tuple[int, .
     ]
 
 
+def _option_total(n: int, k: int) -> int:
+    """How many lists ``_assignment_options(n, k)`` builds: a list takes f
+    fresh colors and k - f used ones, so options[used] holds the sum over f
+    of C(used, k - f)."""
+    return sum(comb(used, k - f) for used in range((n - 1) * k + 1) for f in range(k + 1))
+
+
+def _exact_caps(n: int, k: int) -> None:
+    """Refuse where ``list_color_function_exact(H, k)`` refuses, before any of
+    its work: the exact_plk cap on n*k, the brute_force cap on k^n and,
+    where the search runs, on its option lists."""
+    budget.check_cap("exact_plk", n * k, "exact list-color function")
+    if n > 0:
+        budget.check_cap("brute_force", k**n, "list-coloring enumeration")
+    if n > 0 and k > 1:
+        budget.check_cap("brute_force", _option_total(n, k), "exact list-color option lists")
+
+
 def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """Per count of colors used so far, the lists a vertex may take next.
 
@@ -327,12 +345,10 @@ def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]
     subset as mask words, colors used after it) for ``_kernels._orbit_rows``,
     whose walk then starts from the constant assignment {1..k}^n.  Color c
     is bit (c - 1) % 63 of word (c - 1) // 63, so every word fits in int64.
-    A list takes f fresh colors and k - f used ones, so options[used] holds
-    sum over f of C(used, k - f) lists; their total is checked against the
-    brute_force cap before any list is built.
+    Their total, ``_option_total``, is checked against the brute_force cap
+    before any list is built.
     """
-    total = sum(comb(used, k - f) for used in range((n - 1) * k + 1) for f in range(k + 1))
-    budget.check_cap("brute_force", total, "exact list-color option lists")
+    budget.check_cap("brute_force", _option_total(n, k), "exact list-color option lists")
     words = -(-n * k // _WORD)
     options = []
     for used in range((n - 1) * k + 1):
@@ -369,9 +385,7 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     """
     k = require_int(k, "k", 1)
     n = H.n
-    budget.check_cap("exact_plk", n * k, "exact list-color function")
-    if n > 0:
-        budget.check_cap("brute_force", k**n, "list-coloring enumeration")
+    _exact_caps(n, k)
     require_valid(H)
     if n == 0 or k == 1:
         return (0 if H.m else 1), ListAssignment.from_constant(n, k)

@@ -43,6 +43,7 @@ from hyperchrom import (
     x0,
     x1,
 )
+from hyperchrom import bounds
 
 TRI3 = Hypergraph(6, [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
 FANO5 = Hypergraph(7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)])
@@ -349,6 +350,11 @@ class TestTheoremCertify:
         # P_l fits exact_plk, but the polynomial needs nb_edges = 4
         assert theorem_certify(f1, 2, 2).details["exact_equal"] is True
         monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=2")
+
+        def no_search(H, k):
+            raise AssertionError("exact P_l searched though nb_edges refuses")
+
+        monkeypatch.setattr(bounds, "list_color_function_exact", no_search)
         rep = theorem_certify(f1, 2, 2)
         assert rep.verdict == "inconclusive"
         assert rep.details == {}

@@ -1,8 +1,8 @@
 """Which commands load numpy and mpmath.
 
 Most of the library is exact pure Python, so ``import hyperchrom`` and the
-commands that only walk NB(H) or read thresholds must start without numpy
-or mpmath.  Each case runs in a fresh interpreter: it imports hyperchrom,
+commands that walk NB(H), count colorings by brute force or read thresholds
+must start without numpy or mpmath.  Each case runs in a fresh interpreter: it imports hyperchrom,
 calls ``hyperchrom.cli.main(argv)`` (or a library function) and reports
 which of the two libraries ended up in ``sys.modules``.
 """
@@ -70,25 +70,29 @@ def test_import_loads_neither():
         ("nb", "{fano}"),
         ("gen", "--family", "fig1", "--index", "1"),
         ("chromatic", "{fano}", "--k", "3", "--json"),
+        # the brute-force counts run on Python ints
+        ("chromatic", "{fano}", "--k", "3", "--oracle", "--json"),
+        ("list-count", "{fano}", "{lists}", "--json"),
         ("verify", "--theorem", "1", "--k", "4", "--effort", "threshold", "{fano}"),
         # auto effort: exact_plk refuses n * k = 28 before any kernel runs
         ("verify", "--theorem", "1", "--k", "4", "{fano}", "--json"),
     ],
-    ids=["delta-cycles", "nb", "gen", "chromatic", "verify-threshold", "verify-auto-over-cap"],
+    ids=[
+        "delta-cycles",
+        "nb",
+        "gen",
+        "chromatic",
+        "chromatic-oracle",
+        "list-count",
+        "verify-threshold",
+        "verify-auto-over-cap",
+    ],
 )
 def test_exact_commands_load_neither(files, argv):
     assert loaded(_PROBE, *(a.format(**files) for a in argv)) == (0, [])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("chromatic", "{fano}", "--k", "3", "--oracle", "--json"),
-        ("list-count", "{fano}", "{lists}", "--json"),
-        ("plk", "{small}", "--k", "2", "--json"),
-    ],
-    ids=["chromatic-oracle", "list-count", "plk"],
-)
+@pytest.mark.parametrize("argv", [("plk", "{small}", "--k", "2", "--json")], ids=["plk"])
 def test_kernel_commands_load_numpy_only(files, argv):
     assert loaded(_PROBE, *(a.format(**files) for a in argv)) == (0, ["numpy"])
 

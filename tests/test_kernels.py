@@ -1,6 +1,8 @@
-"""The array kernels against independent oracles.
+"""The counting kernels against independent oracles.
 
-Counts come from an ``itertools.product`` walk over all colorings.  The
+Counts come from an ``itertools.product`` walk over all colorings; the
+brute-force kernel is run with narrow ints too, so that its loop over the
+high vertices' colors runs.  The
 assignment scan is recomputed pattern by pattern from public functions:
 each omit pattern becomes a ``ListAssignment``, and its P(H, L), alpha and
 bounds come from the expansion and the exact corollary bounds.
@@ -8,6 +10,7 @@ bounds come from the expansion and the exact corollary bounds.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +37,7 @@ from hyperchrom import (
     scan_assignments_one_extra_color,
     uniformity,
 )
-from hyperchrom import _kernels, bounds, listcolor
+from hyperchrom import _kernels, bounds, chromatic, listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 
@@ -123,28 +126,54 @@ class TestKernelParity:
             )
             assert oracle_list_count(H, [witness.lists[v] for v in range(1, H.n + 1)]) == value
 
-    @pytest.mark.parametrize("chunk", [7, 64])
-    def test_counts_per_assignment(self, e2, tri, chunk, monkeypatch):
-        # small chunks split the colorings, and each chunk the assignments
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    @pytest.mark.parametrize("width", [7, 64])
+    def test_counts_per_assignment(self, e2, tri, width, monkeypatch):
+        # narrow ints leave vertices to the loop over high color tuples
+        monkeypatch.setattr(chromatic, "_WIDTH", width)
         rng = random.Random(11)
         for H, k in ((e2, 2), (e2, 3), (tri, 2), (tri, 3)):
-            assert _kernels.coloring_counts(H, k).tolist() == [oracle_proper_count(H, k)]
+            assert count_proper_colorings(H, k) == oracle_proper_count(H, k)
             for _ in range(5):
-                batch = [
-                    [sorted(rng.sample(range(1, k + 3), k)) for _ in range(H.n)]
-                    for _ in range(rng.randint(1, 12))
-                ]
-                got = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
-                assert got.tolist() == [oracle_list_count(H, lists) for lists in batch]
+                lists = [sorted(rng.sample(range(1, k + 3), k)) for _ in range(H.n)]
+                L = ListAssignment(k, dict(enumerate(lists, start=1)))
+                assert count_L_colorings(H, L) == oracle_list_count(H, lists)
 
-    def test_counts_without_vertices_or_colors(self, e2):
-        for H, k in ((Hypergraph(0, []), 0), (Hypergraph(0, []), 2), (e2, 0)):
-            want = oracle_proper_count(H, k)
-            assert _kernels.coloring_counts(H, k).tolist() == [want]
-            for batch in (0, 1, 3):
-                values = np.zeros((batch, H.n, k), dtype=np.int64)
-                assert _kernels.coloring_counts(H, k, values).tolist() == [want] * batch
+    def test_counts_without_vertices_or_colors(self, e2, monkeypatch):
+        for width in (7, 64, chromatic._WIDTH):
+            monkeypatch.setattr(chromatic, "_WIDTH", width)
+            for H in (Hypergraph(0, []), Hypergraph(3, []), e2):
+                for k in (0, 1, 2):
+                    assert count_proper_colorings(H, k) == oracle_proper_count(H, k), (H, k)
+                lists = [(v % 2 + 1,) for v in range(1, H.n + 1)]
+                L = ListAssignment(1, dict(enumerate(lists, start=1)))
+                assert count_L_colorings(H, L) == oracle_list_count(H, lists), H
+
+    @pytest.mark.parametrize("width", [7, 64])
+    def test_high_low_and_mixed_edges(self, width, monkeypatch):
+        # all six edge vertices are low at k = 2 and width 64; at width 7 only
+        # 5 and 6 are, so {5, 6} is wholly low, {1, 2} wholly high and the
+        # other two mixed; at k = 3, 4, 5 and 6 are low at width 64, 6 at 7;
+        # vertex 7 lies in no edge
+        monkeypatch.setattr(chromatic, "_WIDTH", width)
+        H = Hypergraph(7, [(1, 2), (5, 6), (2, 3, 5), (1, 4, 6)])
+        for k in (1, 2, 3):
+            assert count_proper_colorings(H, k) == oracle_proper_count(H, k), k
+        # colors shared by some vertices of an edge but not all
+        lists = [(1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (3, 4), (1, 4)]
+        L = ListAssignment(2, dict(enumerate(lists, start=1)))
+        assert count_L_colorings(H, L) == oracle_list_count(H, lists)
+        rng = random.Random(4)
+        for _ in range(20):
+            k = rng.randint(1, 3)
+            lists = [sorted(rng.sample(range(1, 6), k)) for _ in range(H.n)]
+            L = ListAssignment(k, dict(enumerate(lists, start=1)))
+            assert count_L_colorings(H, L) == oracle_list_count(H, lists), lists
+
+    def test_count_at_cap_scale(self):
+        # k^n = 10^8 at the default cap: one low vertex per int, so 10^4 tuples, not 10^8 colorings
+        start = time.process_time()
+        assert count_proper_colorings(Hypergraph(2, [(1, 2)]), 10**4) == 10**8 - 10**4
+        assert time.process_time() - start < 1.0
 
     def test_exact_witness_is_first_minimum(self, e2, tri, monkeypatch):
         # scanned forwards and backwards in batches of a few assignments, so
@@ -192,23 +221,8 @@ class TestKernelParity:
                     assert got == oracle_scan(H, k, gap_factor), (H.edges, k, gap_factor)
 
 
-@pytest.mark.parametrize("chunk", [7, 64, None])
-def test_digit_tables(chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-    for radix, top in [(radix, 5) for radix in range(5)] + [(41, 3)]:
-        for n in range(top + 1):
-            # one buffer is reused, so copy each table as it comes
-            tables = [t.copy() for t in _kernels._digit_tables(radix, n)]
-            want = np.array(list(itertools.product(range(radix), repeat=n)), dtype=np.int64)
-            got = np.concatenate(tables, axis=1) if tables else np.empty((n, 0), dtype=np.int64)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want.reshape(radix**n, n).T), (radix, n)
-            assert all(1 <= t.shape[1] <= _kernels._CHUNK for t in tables), (radix, n)
-
-
 def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
-    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    monkeypatch.setattr(chromatic, "_WIDTH", 7)
     monkeypatch.setattr(_kernels, "_ROWS", 7)
     assert [count_proper_colorings(e2, k) for k in range(5)] == [
         oracle_proper_count(e2, k) for k in range(5)

@@ -2,8 +2,8 @@
 
 ``oracle_exact`` is the exact list-color function as it was before it
 counted from partition terms: every assignment of ``canonical_assignments``
-in order, in batches, counted by the brute-force kernel ``coloring_counts``,
-keeping the first minimum.  The library must report the same value and the
+in order, each counted by the brute force ``count_L_colorings``, keeping
+the first minimum.  The library must report the same value and the
 same witness.  The partition terms themselves are checked against Dohmen's
 identity: grouped by their blocks, the NB(H) members of the walk carry each
 partition's whole signed count, under any edge labelling.
@@ -18,7 +18,7 @@ import random
 import numpy as np
 from canonical import canonical_assignments
 
-from hyperchrom import Hypergraph, ListAssignment, list_color_function_exact
+from hyperchrom import Hypergraph, ListAssignment, count_L_colorings, list_color_function_exact
 from hyperchrom import _kernels, listcolor
 from hyperchrom.cycles import _nb_walk
 from hyperchrom.generators import iter_edge_antichains, random_antichain
@@ -27,14 +27,12 @@ from hyperchrom.generators import iter_edge_antichains, random_antichain
 def oracle_exact(H, k):
     """(P_l(H, k), first minimizing list tuple) by brute force over canonical assignments."""
     best, best_lists = None, None
-    walk = canonical_assignments(H.n, k)
-    while batch := list(itertools.islice(walk, 4096)):
-        counts = _kernels.coloring_counts(H, k, np.array(batch, dtype=np.int64))
-        idx = int(counts.argmin())
-        if best is None or counts[idx] < best:
-            best, best_lists = int(counts[idx]), batch[idx]
-        if best == 0:
-            break
+    for lists in canonical_assignments(H.n, k):
+        count = count_L_colorings(H, ListAssignment(k, dict(enumerate(lists, start=1))))
+        if best is None or count < best:
+            best, best_lists = count, lists
+            if best == 0:
+                break
     return best, best_lists
 
 
