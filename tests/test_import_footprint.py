@@ -2,9 +2,10 @@
 
 Most of the library is exact pure Python, so ``import hyperchrom`` and the
 commands that walk NB(H), count colorings by brute force or read thresholds
-must start without numpy or mpmath.  Each case runs in a fresh interpreter: it imports hyperchrom,
-calls ``hyperchrom.cli.main(argv)`` (or a library function) and reports
-which of the two libraries ended up in ``sys.modules``.
+must start without numpy or mpmath.  Each case runs in a fresh interpreter:
+it imports hyperchrom, calls ``hyperchrom.cli.main(argv)`` (or a library
+function) and reports which of the two libraries ended up in
+``sys.modules``.
 """
 
 import json

@@ -1,11 +1,11 @@
 """The counting kernels against independent oracles.
 
 Counts come from an ``itertools.product`` walk over all colorings; the
-brute-force kernel is run with narrow ints too, so that its loop over the
-high vertices' colors runs.  The
-assignment scan is recomputed pattern by pattern from public functions:
-each omit pattern becomes a ``ListAssignment``, and its P(H, L), alpha and
-bounds come from the expansion and the exact corollary bounds.
+brute-force kernel also runs with narrow ints, so that its loop over the
+high vertices' colors runs.  The assignment scan is recomputed pattern by
+pattern from public functions: each omit pattern becomes a
+``ListAssignment``, and its P(H, L), alpha and bounds come from the
+expansion and the exact corollary bounds.
 """
 
 import itertools
@@ -150,10 +150,10 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("width", [7, 64])
     def test_high_low_and_mixed_edges(self, width, monkeypatch):
-        # all six edge vertices are low at k = 2 and width 64; at width 7 only
-        # 5 and 6 are, so {5, 6} is wholly low, {1, 2} wholly high and the
-        # other two mixed; at k = 3, 4, 5 and 6 are low at width 64, 6 at 7;
-        # vertex 7 lies in no edge
+        # vertex 7 lies in no edge.  At k = 2 and width 7 the low vertices are
+        # 5 and 6: {5, 6} is wholly low, {1, 2} wholly high and the other two
+        # edges mixed; at width 64 all six are low.  At k = 3 the low
+        # vertices are 4, 5 and 6 at width 64, and 6 alone at width 7.
         monkeypatch.setattr(chromatic, "_WIDTH", width)
         H = Hypergraph(7, [(1, 2), (5, 6), (2, 3, 5), (1, 4, 6)])
         for k in (1, 2, 3):
