@@ -8,10 +8,14 @@ are plain floats.  The extended-precision modes of the corollary bounds,
 the proof-auxiliary closed forms, C_THM3 and verify_grids live in
 ``closed_forms``, the one module that imports mpmath.
 
-Nothing here imports numpy at load time.  The assignment scan is the one
-function that calls a kernel, and it imports ``_kernels`` (and with it
-numpy) when it runs.  The thresholds need neither numpy nor mpmath, and
-``theorem_certify`` loads numpy only when its exact check fits the caps.
+The per-edge bound's margins k^(n-r) - w_e(k) are formed in one place,
+``_edge_margins``, which both ``prop1_rhs`` and the scan read.
+
+Nothing here imports numpy at load time.  The assignment scan owns its
+loop over omit patterns and takes the partition walk, the list-count
+kernel and numpy from ``_kernels`` only when a nonempty scan runs.  The
+thresholds need neither numpy nor mpmath, and ``theorem_certify`` loads
+numpy only when its exact check fits the caps.
 
 Throughout, M abbreviates m - 1 and x abbreviates M / k, matching the
 substitutions the bound derivations use.  All logarithms are natural.
@@ -137,9 +141,7 @@ def prop1_rhs(
     if r is None:
         raise InputError("per-edge bound needs an r-uniform hypergraph")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
-    weights = _even_weights(_even_edge_table(H, eta), L.k)
-    big_k = L.k ** (H.n - r)
-    return sum(a * (big_k - w) for a, w in zip(profile.per_edge, weights) if a)
+    return sum(a * c for a, c in zip(profile.per_edge, _edge_margins(H, r, L.k, eta)) if a)
 
 
 def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
@@ -163,6 +165,13 @@ def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
 def _even_weights(table: list[list[int]], k: int) -> list[int]:
     """Per edge, the sum of k^(c(A)-1) over the even-size members A holding it."""
     return [sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in table]
+
+
+def _edge_margins(H: Hypergraph, r: int, k: int, eta) -> list[int]:
+    """Per edge e, k^(n-r) - w_e(k), w_e(k) its even-member weight: the factor
+    that alpha(e, L) takes in the per-edge bound."""
+    big_k = k ** (H.n - r)
+    return [big_k - w for w in _even_weights(_even_edge_table(H, eta), k)]
 
 
 def _check_mrk(m: int, k: int, lo_m: int = 2) -> int:
@@ -371,17 +380,17 @@ def scan_assignments_one_extra_color(
     gap_factor: float = 0.0,
     check_uniform: bool = True,
     check_linear: bool = True,
-    eta=None,
 ) -> dict:
     """Check the lower bounds on every k-assignment drawn from k+1 colors.
 
     Every assignment whose lists sit inside a (k+1)-color universe omits
     exactly one color per vertex, so the full space is the (k+1)^n omit
     patterns.  Renaming colors changes no number checked, so the scan
-    walks one pattern per renaming class and, on each with alpha > 0,
-    verifies in exact integers that P(H, L) - P(H, k) is at least the
-    per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs times
-    k^(n-r) * alpha when those checks are requested.  A positive
+    walks one pattern per renaming class, a set partition from
+    ``_kernels._partitions`` weighted by its orbit size, and, on each with
+    alpha > 0, verifies in exact integers that P(H, L) - P(H, k) is at
+    least the per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs
+    times k^(n-r) * alpha when those checks are requested.  A positive
     gap_factor additionally tracks the strict margin
     P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.
 
@@ -390,18 +399,27 @@ def scan_assignments_one_extra_color(
     (None when no pattern was checked or no gap was requested).  Refuses
     an invalid H, k > 62 on nonempty instances, and an instance whose
     per-edge bound could pass int64.
+
+    Width: a pattern keeps each vertex's omitted color as the bit
+    1 << digit and its list as the other k bits of an int64, hence k <= 62.
+    The brute_force cap on (k+1)^n stays below 2^63, so P(H, L), P(H, k),
+    their difference, each orbit weight and each weighted count fit in
+    int64.  The corollary thresholds are exact integers clipped just past
+    k^n.  The per-edge bound's sum is formed in int64, and each alpha_e is
+    at most r - 1, so refusing (r - 1) * sum |margin| >= 2^63 keeps it exact.
     """
     k = require_int(k, "k", 1)
     hypercore.require_valid(H)
+    out = {
+        "checked": 0,
+        "viol_prop": 0,
+        "viol_uniform": 0,
+        "viol_linear": 0,
+        "viol_gap": 0,
+        "min_gap_margin": None,
+    }
     if H.n == 0 or H.m == 0:
-        return {
-            "checked": 0,
-            "viol_prop": 0,
-            "viol_uniform": 0,
-            "viol_linear": 0,
-            "viol_gap": 0,
-            "min_gap_margin": None,
-        }
+        return out
     r = hypercore.uniformity(H)
     if r is None:
         raise InputError("assignment scan needs an r-uniform hypergraph")
@@ -413,32 +431,52 @@ def scan_assignments_one_extra_color(
 
     terms = _partition_terms(H, k)
     p_k = sum(weight * k ** len(blocks) for weight, blocks in terms)
-    big_k = k ** (H.n - r)
-    prop_c = [big_k - w for w in _even_weights(_even_edge_table(H, eta), k)]
-    if (r - 1) * sum(abs(c) for c in prop_c) >= 2**63:
-        # each alpha_e is at most r - 1, so the kernel's int64 per-edge sum stays exact
+    margins = _edge_margins(H, r, k, None)
+    if (r - 1) * sum(abs(c) for c in margins) >= 2**63:
         raise InputError("assignment scan: the per-edge bound's sum may pass 2^63")
+    big_k = k ** (H.n - r)
+    gap = float(gap_factor * big_k)
 
+    from ._kernels import _partitions, list_counts, np
+
+    fracs = []  # (the violation it counts, a corollary bound's exact rational)
+    if H.m >= 2 and check_uniform:
+        fracs.append(("viol_uniform", cor_uniform_rhs_exact(H.m, hypercore.rho(H), k)))
+    if H.m >= 2 and check_linear:
+        fracs.append(("viol_linear", cor_linear_rhs_exact(H.m, r, k)))
     # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
     top, limit = H.m * (r - 1), k**H.n + 1
-    thr_u = thr_l = None
-    if H.m >= 2:
-        if check_uniform:
-            u_frac = cor_uniform_rhs_exact(H.m, hypercore.rho(H), k)
-            thr_u = _threshold_table(u_frac, big_k, top, limit)
-        if check_linear:
-            thr_l = _threshold_table(cor_linear_rhs_exact(H.m, r, k), big_k, top, limit)
-
-    from . import _kernels
-
-    checked, vp, vu, vl, vg, min_margin = _kernels.omit_pattern_scan(
-        H, k + 1, terms, p_k, prop_c, thr_u, thr_l, float(gap_factor * big_k)
-    )
-    return {
-        "checked": checked,
-        "viol_prop": vp,
-        "viol_uniform": vu,
-        "viol_linear": vl,
-        "viol_gap": vg,
-        "min_gap_margin": min_margin if gap_factor > 0 and checked > 0 else None,
-    }
+    thresholds = [
+        (key, np.array(_threshold_table(frac, big_k, top, limit), dtype=np.int64))
+        for key, frac in fracs
+    ]
+    full = np.int64((1 << (k + 1)) - 1)
+    min_margin = math.inf
+    for digits, orbit in _partitions(H.n, k + 1):
+        lists = np.left_shift(np.int64(1), digits)
+        lists ^= full  # every color but the omitted one
+        alpha_e = np.empty((H.m, digits.shape[1]), dtype=np.int64)
+        for e, edge in enumerate(H.edges):
+            both = lists[edge[0] - 1] & lists[edge[1] - 1]
+            for u in edge[2:]:
+                both &= lists[u - 1]
+            alpha_e[e] = k - np.bitwise_count(both)  # uint8: at most k <= 62 common colors
+        alpha = alpha_e.sum(axis=0)
+        sel = alpha > 0
+        if not sel.any():
+            continue
+        diff = list_counts(lists[:, None], terms) - p_k
+        rhs = np.zeros_like(alpha)
+        for e, c in enumerate(margins):
+            rhs += alpha_e[e] * c
+        out["checked"] += int(orbit[sel].sum())
+        out["viol_prop"] += int(orbit[sel & (diff < rhs)].sum())
+        for key, thr in thresholds:
+            out[key] += int(orbit[sel & (diff < thr[alpha])].sum())
+        if gap > 0.0:
+            gap_margins = diff - gap * alpha
+            min_margin = min(min_margin, float(gap_margins[sel].min()))  # sel has a pattern
+            out["viol_gap"] += int(orbit[sel & (gap_margins <= 0.0)].sum())
+    if gap > 0.0 and out["checked"]:
+        out["min_gap_margin"] = min_margin
+    return out

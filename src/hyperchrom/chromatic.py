@@ -156,22 +156,23 @@ def _count_colorings(H: Hypergraph, lists) -> int:
     the count by k.  The s others number their colorings by digits, digit
     d of vertex v standing for color lists[v - 1][d], and the last j of
     them (the low vertices), k^j the largest power within _WIDTH, vary
-    inside one Python int of k^j bits, one bit per coloring.  For each low
-    vertex and color, a mask marks the bits where the vertex takes that
-    color: for the vertex p places from the last, a run of k^p bits with
-    period k^(p + 1), built by doubling.  An edge wholly among the low
-    vertices gives one fixed mask of monochromatic bits: the OR, over the
-    colors its lists share, of the AND of its vertices' masks.  The s - j
-    high vertices take each tuple of colors in turn.  An edge that meets
-    them can only be monochromatic in the one color its high vertices
-    share, if they share one; then it adds the AND of its low vertices'
-    masks for that color, and with no low vertex it rules out the whole
-    tuple.  Each tuple counts the bits left clear.
+    inside one Python int of k^j bits, one bit per coloring.  The low
+    vertex p places from the last keeps its digit-0 mask, the bits where
+    it takes digit 0 (a run of k^p bits with period k^(p + 1), built by
+    doubling), and a map from color to digit; its mask for the color of
+    digit d, that mask shifted by d * k^p, is formed when used.  An edge
+    wholly among the low vertices gives one fixed mask of monochromatic
+    bits: the OR, over the colors its lists share, of the AND of its
+    vertices' masks.  The s - j high vertices take each tuple of colors in
+    turn.  An edge that meets them can only be monochromatic in the one
+    color its high vertices share, if they share one; then it adds the AND
+    of its low vertices' masks for that color, and with no low vertex it
+    rules out the whole tuple.  Each tuple counts the bits left clear.
 
-    Memory: j*k masks of at most _WIDTH bits, and a constant number of
-    working masks of that width.  Time: k^(s - j) tuples, each a few
-    big-int operations per edge that meets the high vertices.  The count
-    is an exact Python int.
+    Memory: j digit-0 masks of at most _WIDTH bits, j maps of k colors,
+    and a constant number of working masks of that width.  Time: k^(s - j)
+    tuples, each a few big-int operations per low vertex of an edge that
+    meets the high vertices.  The count is an exact Python int.
     """
     k = len(lists[0]) if lists else 1
     order = sorted({v for edge in H.edges for v in edge})
@@ -180,29 +181,25 @@ def _count_colorings(H: Hypergraph, lists) -> int:
         width, j = width * k, j + 1
     high, low = order[: len(order) - j], order[len(order) - j :]
     full = (1 << width) - 1
-    masks = {}  # low vertex -> {color: the bits where it takes that color}
+    digits = {}  # low vertex -> (its digit-0 mask, its run, {color: digit})
     for p, v in enumerate(reversed(low)):
         run = k**p
         zero, span = (1 << run) - 1, run * k  # the bits where v takes digit 0
         while span < width:
             zero |= zero << span
             span *= 2
-        zero &= full
-        masks[v] = {color: zero << (d * run) for d, color in enumerate(lists[v - 1])}
+        digits[v] = (zero & full, run, {color: d for d, color in enumerate(lists[v - 1])})
     slot = {v: i for i, v in enumerate(high)}
     fixed = 0  # colorings of the low vertices that make a low edge monochromatic
-    mixed = []  # per edge meeting the high vertices: (first slot, other slots, low masks)
+    mixed = []  # per edge meeting the high vertices: (first slot, other slots, low digits)
     for edge in H.edges:
         slots = [slot[v] for v in edge if v in slot]
-        lows = [masks[v] for v in edge if v in masks]
+        lows = [digits[v] for v in edge if v in digits]
         if slots:
             mixed.append((slots[0], slots[1:], lows))
-            continue
-        for color in lows[0]:
-            both = lows[0][color]
-            for vm in lows[1:]:
-                both &= vm.get(color, 0)
-            fixed |= both
+        else:
+            for color in lows[0][2]:
+                fixed |= _all_take(lows, color)
     total = 0
     for colors in product(*(lists[v - 1] for v in high)):
         bad = fixed
@@ -212,10 +209,24 @@ def _count_colorings(H: Hypergraph, lists) -> int:
                 continue
             if not lows:
                 break  # a high edge is monochromatic under every low coloring
-            both = lows[0].get(color, 0)
-            for vm in lows[1:]:
-                both &= vm.get(color, 0)
-            bad |= both
+            bad |= _all_take(lows, color)
         else:
             total += width - bad.bit_count()
     return total * k ** (H.n - len(order))
+
+
+def _all_take(lows, color) -> int:
+    """The bits where every low vertex in lows, a nonempty list of (digit-0
+    mask, run, {color: digit}), takes color: its digit-0 mask shifted by
+    digit * run, ANDed from the first vertex's."""
+    zero, run, digit = lows[0]
+    d = digit.get(color)
+    if d is None:
+        return 0
+    both = zero << d * run
+    for zero, run, digit in lows[1:]:
+        d = digit.get(color)
+        if d is None:
+            return 0
+        both &= zero << d * run
+    return both

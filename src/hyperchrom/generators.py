@@ -4,7 +4,7 @@ The exhaustive iterators drive the oracle-equivalence and inequality
 sweeps; they enumerate every valid edge set (an antichain of vertex
 sets, each of size >= 2) within the stated limits, including edge sets
 leaving vertices isolated.  The random r-uniform families are rejection
-samplers with explicit retry budgets that fall back to one greedy pass
+samplers with one fixed retry budget that fall back to one greedy pass
 over the shuffled r-subsets when every try fails; identical seeds give
 identical instances.
 """
@@ -31,6 +31,8 @@ __all__ = [
     "sunflower_free",
     "fig1",
 ]
+
+_TRIES = 10000  # whole edge sets a random sampler draws before it gives up
 
 _FIG1_EDGES = {
     1: (6, ((1, 2, 3), (1, 4, 5), (3, 5, 6), (2, 4, 6))),
@@ -125,7 +127,7 @@ def random_antichain(n: int, m: int, rng: random.Random) -> Hypergraph:
     # Sperner: no antichain of sets of size >= 2 beats the widest such layer
     if m > max((comb(n, s) for s in range(2, n + 1)), default=0):
         raise GeneratorError(f"no antichain with n={n}, m={m} found")
-    for _ in range(10000):
+    for _ in range(_TRIES):
         edges: list[frozenset[int]] = []
         ok = True
         for _ in range(m):
@@ -180,10 +182,10 @@ def _finish(H: Hypergraph) -> Hypergraph:
 _GREEDY_POOL = 200_000
 
 
-def _random_uniform(n, m, r, seed, max_tries, what, pair_ok, triple_bad=None) -> Hypergraph:
+def _random_uniform(n, m, r, seed, what, pair_ok, triple_bad=None) -> Hypergraph:
     """m distinct r-subsets of 1..n; every pair passes pair_ok, no triple is triple_bad.
 
-    Samples whole edge sets up to max_tries times.  When every try fails
+    Samples whole edge sets up to _TRIES times.  When every try fails
     and there are at most _GREEDY_POOL r-subsets, makes one greedy pass
     over them in shuffled order, keeping each that fits the edges kept so
     far.  Raises GeneratorError(what) when both fail.  m = 0 gives the
@@ -200,7 +202,7 @@ def _random_uniform(n, m, r, seed, max_tries, what, pair_ok, triple_bad=None) ->
             triple_bad and any(triple_bad(e, f, g) for f, g in combinations(kept, 2))
         )
 
-    for _ in range(max_tries):
+    for _ in range(_TRIES):
         edges = _distinct_r_subsets(n, m, r, rng)
         if edges is None:
             continue
@@ -216,33 +218,24 @@ def _random_uniform(n, m, r, seed, max_tries, what, pair_ok, triple_bad=None) ->
                 kept.append(e)
                 if len(kept) == m:
                     return _finish(Hypergraph(n, sorted(tuple(sorted(f)) for f in kept)))
-    raise GeneratorError(f"{what} after {max_tries} tries")
+    raise GeneratorError(f"{what} after {_TRIES} tries")
 
 
-def random_linear_r_uniform(
-    n: int, m: int, r: int, seed: int = 0, max_tries: int = 10000
-) -> Hypergraph:
+def random_linear_r_uniform(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
     """Random linear r-uniform instance (pairwise intersections <= 1)."""
     _check_uniform(n, r)
     what = f"no linear {r}-uniform instance with n={n}, m={m}"
-    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: len(e & f) <= 1)
+    return _random_uniform(n, m, r, seed, what, lambda e, f: len(e & f) <= 1)
 
 
-def random_r_uniform_rho(
-    n: int,
-    m: int,
-    r: int,
-    rho_min: int,
-    seed: int = 0,
-    max_tries: int = 10000,
-) -> Hypergraph:
+def random_r_uniform_rho(n: int, m: int, r: int, rho_min: int, seed: int = 0) -> Hypergraph:
     """Random r-uniform instance with rho(H) >= rho_min (needs m >= 2)."""
     _check_uniform(n, r)
     if m < 2:
         raise InputError(f"rho needs m >= 2, got {m}")
     what = f"no {r}-uniform instance with rho >= {rho_min}, n={n}, m={m}"
     # on r-uniform edges |e \ f| = |f \ e|, so one test per pair suffices
-    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: len(e - f) >= rho_min)
+    return _random_uniform(n, m, r, seed, what, lambda e, f: len(e - f) >= rho_min)
 
 
 def tight_path(n: int, r: int) -> Hypergraph:
@@ -257,9 +250,7 @@ def _is_sunflower(a: frozenset, b: frozenset, c: frozenset) -> bool:
     return (a & b) == core and (a & c) == core and (b & c) == core
 
 
-def sunflower_free(
-    n: int, m: int, r: int, seed: int = 0, max_tries: int = 10000
-) -> Hypergraph:
+def sunflower_free(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
     """Random r-uniform instance with no 3 edges forming a sunflower.
 
     A 3-edge sunflower has all pairwise intersections equal to the
@@ -268,7 +259,7 @@ def sunflower_free(
     """
     _check_uniform(n, r)
     what = f"no sunflower-free {r}-uniform instance with n={n}, m={m}"
-    return _random_uniform(n, m, r, seed, max_tries, what, lambda e, f: True, _is_sunflower)
+    return _random_uniform(n, m, r, seed, what, lambda e, f: True, _is_sunflower)
 
 
 def fig1(index: int) -> Hypergraph:

@@ -54,7 +54,6 @@ __all__ = [
     "list_color_function_search",
 ]
 
-_BATCH = 4096  # assignments per kernel call in list_color_function_exact
 _WORD = 63  # colors per int64 word of an exact search row; the sign bit stays clear
 _VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
 
@@ -373,8 +372,9 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
 
     Scans one representative per color-renaming class (vertex 1 pinned
     to {1..k}, fresh colors consecutive), so the search space is finite
-    even though color names are not.  Each batch of assignments is counted
-    by ``_kernels.list_counts`` from the partition terms of H, formed once.
+    even though color names are not.  Each table of at most
+    max(``_kernels._ROWS``, longest option list) assignments is counted by
+    ``_kernels.list_counts`` from the partition terms of H, formed once.
     Ties break to the first representative in scan order; the constant
     assignment is scanned first, so a constant witness is reported whenever
     one attains the minimum.  At k = 1 the constant assignment colors every
@@ -393,7 +393,7 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
 
     terms = _partition_terms(H, k)
     best, best_row = -1, None
-    for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _BATCH):
+    for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _kernels._ROWS):
         counts = _kernels.list_counts(batch.transpose(1, 2, 0), terms)
         idx = int(counts.argmin())  # the first minimum
         if best < 0 or counts[idx] < best:

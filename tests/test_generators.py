@@ -116,8 +116,8 @@ class TestRandomFamilies:
 
     def test_linear_uniform_unsatisfiable(self):
         # only 4 triples exist on 4 vertices and no two of them are linear
-        with pytest.raises(GeneratorError):
-            random_linear_r_uniform(4, 2, 3, seed=0, max_tries=50)
+        with pytest.raises(GeneratorError, match="n=4, m=2 after 10000 tries$"):
+            random_linear_r_uniform(4, 2, 3, seed=0)
 
     def test_rho_floor(self):
         H = random_r_uniform_rho(8, 4, 3, 2, seed=3)
@@ -145,8 +145,8 @@ class TestRandomFamilies:
 
     def test_rho_floor_unsatisfiable(self):
         # rho of 3-uniform edges never exceeds 3
-        with pytest.raises(GeneratorError):
-            random_r_uniform_rho(9, 3, 3, 4, seed=0, max_tries=50)
+        with pytest.raises(GeneratorError, match="n=9, m=3 after 10000 tries$"):
+            random_r_uniform_rho(9, 3, 3, 4, seed=0)
 
 
 class TestStructuredFamilies:

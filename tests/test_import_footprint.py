@@ -103,6 +103,17 @@ def test_grids_load_both(tmp_path):
     assert loaded(_PROBE, "verify", "--grids", "--csv", csv) == (0, ["mpmath", "numpy"])
 
 
+def test_edgeless_scan_loads_neither():
+    # the scan takes numpy from _kernels only when it has patterns to walk
+    code = (
+        "import json, sys\n"
+        "from hyperchrom import Hypergraph, scan_assignments_one_extra_color\n"
+        "res = scan_assignments_one_extra_color(Hypergraph(4, []), 3, gap_factor=0.5)\n"
+        f"print(json.dumps([res['checked'], {_LOADED}]))\n"
+    )
+    assert loaded(code) == (0, [])
+
+
 def test_theorem_certify_refuses_exact_check_before_kernels(files):
     # the exact P_l check is refused on n * k before P(H, k) or any kernel runs
     code = (

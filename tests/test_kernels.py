@@ -11,6 +11,7 @@ expansion and the exact corollary bounds.
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,16 @@ class TestKernelParity:
         assert count_proper_colorings(Hypergraph(2, [(1, 2)]), 10**4) == 10**8 - 10**4
         assert time.process_time() - start < 1.0
 
+    def test_count_at_large_k_holds_no_mask_per_color(self):
+        # one low vertex of k = 10^4 colors: a mask per color would hold about k^2/2 bits
+        tracemalloc.start()
+        try:
+            assert count_proper_colorings(Hypergraph(2, [(1, 2)]), 10**4) == 10**8 - 10**4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_exact_witness_is_first_minimum(self, e2, tri, monkeypatch):
         # scanned forwards and backwards in batches of a few assignments, so
         # ties and zeros (which end the scan early) straddle batches; k = 1
@@ -195,7 +206,7 @@ class TestKernelParity:
 
                 monkeypatch.setattr(_kernels, "_orbit_rows", rows)
                 for size in (1, 2, 3, 4096):
-                    monkeypatch.setattr(listcolor, "_BATCH", size)
+                    monkeypatch.setattr(_kernels, "_ROWS", size)
                     value, witness = list_color_function_exact(H, k)
                     assert value == counts[first]
                     assert tuple(witness.lists[v] for v in range(1, H.n + 1)) == order[first]
@@ -222,8 +233,11 @@ class TestKernelParity:
 
 
 def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
+    exact = list_color_function_exact(e2, 2)
     monkeypatch.setattr(chromatic, "_WIDTH", 7)
     monkeypatch.setattr(_kernels, "_ROWS", 7)
+    # exact P_l walks tables of 7 rows: the same minimum and the same first witness
+    assert list_color_function_exact(e2, 2) == exact
     assert [count_proper_colorings(e2, k) for k in range(5)] == [
         oracle_proper_count(e2, k) for k in range(5)
     ]

@@ -227,7 +227,7 @@ class TestListColorFunction:
             options = listcolor._assignment_options(n, k)
             # (11, 1) and (12, 1) hold 0.7 and 4.2 million rows, too many to
             # walk a few at a time here; test_orbit_rows_bound walks (12, 1) at 7
-            for limit in (1, 7, listcolor._BATCH) if n < 11 else (listcolor._BATCH,):
+            for limit in (1, 7, _kernels._ROWS) if n < 11 else (_kernels._ROWS,):
                 want = canonical_assignments(n, k)
                 for rows, _ in _kernels._orbit_rows(n, options, limit):
                     batch = itertools.islice(want, len(rows))
