@@ -132,6 +132,8 @@ def prop1_rhs(
     depends on the edge ordering used to break cycles, but the bound is
     valid under every ordering; callers may pass any eta.  ``catalog`` may
     only be H's own, ``enumerate_delta_cycles(H)``; any other raises InputError.
+    When alpha(H, L) is 0 every term is 0, so after the same refusals (and
+    the check of eta) the answer is 0 without the NB walk.
     """
     profile = alpha(H, L)
     _require_own_catalog(H, catalog)
@@ -141,6 +143,9 @@ def prop1_rhs(
     if r is None:
         raise InputError("per-edge bound needs an r-uniform hypergraph")
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
+    if profile.is_zero:
+        normalize_eta(H, eta)
+        return 0
     return sum(a * c for a, c in zip(profile.per_edge, _edge_margins(H, r, L.k, eta)) if a)
 
 

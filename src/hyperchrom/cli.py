@@ -34,7 +34,7 @@ from pathlib import Path
 from .bounds import reports_to_csv, theorem_certify
 from .chromatic import chromatic_polynomial, count_proper_colorings
 from .cycles import enumerate_delta_cycles, nb_subsets
-from .errors import BudgetExceededError, GeneratorError, HyperchromError, InputError
+from .errors import BudgetExceededError, GeneratorError, HyperchromError, InputError, read_text
 from .hypercore import Hypergraph, validate
 from .listcolor import (
     ListAssignment,
@@ -67,11 +67,7 @@ def _load_hypergraph(path: str) -> Hypergraph:
 
 
 def _load_assignment(path: str) -> ListAssignment:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return ListAssignment.from_json(text)
+    return ListAssignment.from_json(read_text(path))
 
 
 def _labels_text(labels) -> str:

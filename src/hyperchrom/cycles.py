@@ -19,7 +19,8 @@ exactly NB(H) and never leaves it.  Each inclusion-minimal broken set is
 filed under its second-highest edge: all its other edges lie at or below
 that edge, so when the walk adds it, the set either fits and its top edge
 joins a "blocked" mask carried down the branch, or it never will.  A child
-edge in the blocked mask is skipped.  The walk carries the components of each
+edge in the blocked mask is skipped; edges a consumer wants no member to
+hold start out in it.  The walk carries the components of each
 member as vertex bitmasks, one per component with an edge; a step builds a
 new list of them, so backtracking returns to the list it had kept.
 """
@@ -187,6 +188,7 @@ def _nb_walk(
     eta: Sequence[int] | None = None,
     max_size: int | None = None,
     need: int = 0,
+    avoid: int = 0,
 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """Depth-first walk over NB(H) under eta, in preorder.
 
@@ -200,8 +202,11 @@ def _nb_walk(
     ``max_size`` stops the descent at that many edges.  ``need``, a one-edge
     mask, stops the descent from a subset without that edge once the walk
     has passed it, since no descendant can hold it; the members still
-    yielded keep their order.  The broken sets come from H's own catalog,
-    which refuses an invalid H and one over the nb_edges cap.  Their
+    yielded keep their order.  ``avoid``, an edge mask, starts the blocked
+    mask, so no member holds any of its edges: NB(H) is downward closed,
+    so the walk yields exactly the members without them, in the same
+    order, at no cost per member.  The broken sets come from H's own
+    catalog, which refuses an invalid H and one over the nb_edges cap.  Their
     inclusion-minimal members are cached on H per eta, filed by
     second-highest edge: ``index[j]`` holds ``(rest, top)``, the set split
     into its top edge's bit and the rest.  Adding j tests each once, and a
@@ -218,14 +223,16 @@ def _nb_walk(
             index[rest.bit_length() - 1].append((rest, top))
         H._cache[key] = index
     limit = H.m if max_size is None else max_size
-    return _walk(H.n, H.edge_vertex_masks(), H._cache[key], limit, need)
+    return _walk(H.n, H.edge_vertex_masks(), H._cache[key], limit, need, avoid)
 
 
-def _walk(n: int, vmasks: list[int], index: list[list[tuple[int, int]]], limit: int, need: int):
+def _walk(
+    n: int, vmasks: list[int], index: list[list[tuple[int, int]]], limit: int, need: int, avoid: int
+):
     m = len(vmasks)
     stop = need.bit_length() if need else m  # past it, only subsets holding need extend
     stack: list[tuple[int, list[int], int, int]] = []  # (edge, blocks, union, blocked) before it
-    mask, size, blocks, union, blocked, j = 0, 0, [], 0, 0, 0
+    mask, size, blocks, union, blocked, j = 0, 0, [], 0, avoid, 0
     yield mask, size, n, blocks
     while True:
         if j < m and size < limit and (j < stop or mask & need):
@@ -254,21 +261,31 @@ def nb_subsets(
     eta: Sequence[int] | None = None,
     must_contain: int | None = None,
     size: int | None = None,
+    *,
+    avoid: Iterable[int] = (),
 ) -> Iterator[EdgeSubset]:
     """Stream the members of NB(H) under eta, in depth-first order.
 
     Optional filters restrict the stream to subsets containing the edge with
-    label ``must_contain`` and/or to subsets of exactly ``size`` edges.
-    Because broken-freeness is hereditary, the walk only ever extends
-    broken-free subsets, and with ``must_contain`` it leaves a branch once it
-    has passed that edge without taking it; pruning is exact, not heuristic.
-    The broken sets come from H's own catalog, ``enumerate_delta_cycles(H)``.
+    label ``must_contain``, to subsets of exactly ``size`` edges, and to
+    subsets holding none of the edges labelled in ``avoid``.  Because
+    broken-freeness is hereditary, the walk only ever extends broken-free
+    subsets; with ``must_contain`` it leaves a branch once it has passed
+    that edge without taking it, and the ``avoid`` edges start out blocked,
+    so no branch takes them.  Pruning is exact, not heuristic: the stream
+    is the full stream filtered, in the same order.  The broken sets come
+    from H's own catalog, ``enumerate_delta_cycles(H)``.
     """
     m = H.m
     if must_contain is not None and not 1 <= must_contain <= m:
         raise InputError(f"must_contain label {must_contain} outside 1..{m}")
+    skip = 0
+    for label in require_ints(avoid, "avoid labels"):
+        if not 1 <= label <= m:
+            raise InputError(f"avoid label {label} outside 1..{m}")
+        skip |= 1 << (label - 1)
     want = 0 if must_contain is None else 1 << (must_contain - 1)
-    walk = _nb_walk(H, eta, max_size=size, need=want)
+    walk = _nb_walk(H, eta, max_size=size, need=want, avoid=skip)
     return (
         EdgeSubset.from_mask(m, mask)
         for mask, count, _comps, _blocks in walk

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all hyperchrom modules, and the integer check."""
+"""Exception hierarchy shared by all hyperchrom modules, the integer check,
+and the one reader of the JSON input files."""
 
 from __future__ import annotations
 
+import json
 import operator
 
 __all__ = [
@@ -79,3 +81,38 @@ def require_ints(values, name: str) -> tuple[int, ...]:
     if ints is None or bool in map(type, values):
         raise InputError(f"{name} must be integers, got {list(values)}")
     return ints
+
+
+def read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text, or InputError if it cannot be read
+    or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json(text, what: str):
+    """JSON text as Python values, refusing a key that repeats in any object.
+
+    Every way the text can fail is an InputError naming ``what``: bad
+    syntax, an integer past CPython's int-string digit limit and bytes
+    that are not UTF-8 (all ValueError), and nesting past the recursion
+    limit.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"repeated key {key!r} in {what}")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:
+        raise InputError(f"invalid {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"invalid {what}: nested too deeply") from exc

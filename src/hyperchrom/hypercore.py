@@ -24,7 +24,14 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .errors import InputError, UndefinedStatisticError, require_int, require_ints
+from .errors import (
+    InputError,
+    UndefinedStatisticError,
+    parse_json,
+    read_text,
+    require_int,
+    require_ints,
+)
 
 __all__ = [
     "Hypergraph",
@@ -155,10 +162,7 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid hypergraph JSON: {exc}") from exc
+        obj = parse_json(text, "hypergraph JSON")
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError('hypergraph JSON must be {"n": ..., "edges": [...]}')
         if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
@@ -174,12 +178,7 @@ class Hypergraph:
 
     @classmethod
     def load(cls, path: str) -> "Hypergraph":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        return cls.from_json(text)
+        return cls.from_json(read_text(path))
 
     def __eq__(self, other: object) -> bool:
         return (

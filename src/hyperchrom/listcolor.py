@@ -16,7 +16,10 @@ to all lists of the component.  It streams the members from
 ``nb_subsets`` and builds each member's components from those of the
 nearest earlier member it contains, one added edge in the walk's order.
 Common colors are counted as the popcount of an AND of per-vertex color
-bitmasks, by the one helper that ``alpha`` and ``beta`` use too.  The
+bitmasks, by the one helper that ``alpha`` and ``beta`` use too.  It
+skips the terms that are zero: the stream avoids the edges whose lists
+share no color, and a member holding a block with no common color
+stops the fold for every member that contains it.  The
 exact list-color function takes a
 third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
@@ -40,7 +43,7 @@ from typing import Iterable, Mapping
 from . import budget
 from .chromatic import _count_colorings
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
-from .errors import InputError, require_int
+from .errors import InputError, parse_json, require_int
 from .hypercore import EdgeSubset, Hypergraph, _add_block, _set_bits, _subset_blocks, require_valid
 
 __all__ = [
@@ -56,16 +59,6 @@ __all__ = [
 
 _WORD = 63  # colors per int64 word of an exact search row; the sign bit stays clear
 _VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, refusing a key that appears twice."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise InputError(f"repeated key {key!r} in list assignment JSON")
-        obj[key] = value
-    return obj
 
 
 class ListAssignment:
@@ -133,10 +126,7 @@ class ListAssignment:
         """Parse ``to_json``'s form.  A vertex key must be the canonical decimal
         of a vertex >= 1 ("1", not "01", " 1", "+1" or "1_0"), and no key may
         repeat in any object, so no two keys can name one vertex."""
-        try:
-            payload = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        payload = parse_json(text, "list assignment JSON")
         if not isinstance(payload, dict) or "k" not in payload or "lists" not in payload:
             raise InputError('list assignment JSON needs "k" and "lists" keys')
         raw = payload["lists"]
@@ -251,37 +241,50 @@ def count_L_colorings_expansion(
     nested members, and A folds in only the edges its top entry lacks,
     one edge in the walk's preorder, though any stream order gives the
     same sum.  A block's common-color count is the popcount of the AND
-    of its vertices' color bitmasks, formed once per block.  ``catalog``
-    may only be H's own, ``enumerate_delta_cycles(H)``; any other raises
-    InputError.
+    of its vertices' color bitmasks, formed once per block.
+
+    Terms that are zero are skipped, not formed: a block with no common
+    color makes beta 0 for its member and for every member that contains
+    it, whose block there can only grow.  So the stream avoids the edges
+    whose own lists share no color (``nb_subsets``' ``avoid``), a member
+    with a colorless block stays on the stack marked dead (blocks None),
+    and a member on top of a dead entry is skipped without building its
+    blocks.  ``catalog`` may only be H's own, ``enumerate_delta_cycles(H)``;
+    any other raises InputError.
     """
     _check_match(H, L)
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     _require_own_catalog(H, catalog)
-    members = nb_subsets(H, eta=eta)  # refuses an invalid H before its masks are read
+    require_valid(H)  # before the edge masks are read
     vmasks = H.edge_vertex_masks()
     color_masks = _color_masks(L)
+    common = {emask: _common_count(color_masks, emask) for emask in vmasks}  # block -> count
+    members = nb_subsets(H, eta=eta, avoid=[i + 1 for i, e in enumerate(vmasks) if not common[e]])
     powers = [L.k**i for i in range(H.n + 1)]  # factor k per isolated vertex
-    common: dict[int, int] = {}  # block -> its common-color count
-    stack: list[tuple[int, list[int], int]] = [(0, [], 0)]  # nested members, innermost last
+    stack: list[tuple[int, list[int] | None, int]] = [(0, [], 0)]  # nested members, innermost last
     total = 0
     for A in members:
         amask = A.mask
         while stack[-1][0] & ~amask:
             stack.pop()
         mask, blocks, covered = stack[-1]
-        if amask != mask:
-            for i in _set_bits(amask ^ mask):
-                blocks = _add_block(blocks, vmasks[i])
-                covered |= vmasks[i]
-            stack.append((amask, blocks, covered))
+        if blocks is None:  # A contains a member with a colorless block
+            continue
+        for i in _set_bits(amask ^ mask):
+            blocks = _add_block(blocks, vmasks[i])
+            covered |= vmasks[i]
         term = powers[H.n - covered.bit_count()]
         for block in blocks:
             count = common.get(block)
             if count is None:
                 count = common[block] = _common_count(color_masks, block)
+            if not count:
+                blocks = None
+                break
             term *= count
-        total += -term if amask.bit_count() % 2 else term
+        else:
+            total += -term if amask.bit_count() % 2 else term
+        stack.append((amask, blocks, covered))
     return total
 
 

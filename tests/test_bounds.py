@@ -85,6 +85,23 @@ class TestProp1:
         with pytest.raises(InputError, match="assignment covers 1 vertices"):
             prop1_rhs(Hypergraph(3, []), ListAssignment(2, {1: [1, 2]}))
 
+    def test_zero_alpha_refuses_first_and_never_walks(self, monkeypatch, e2):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("NB walk run although alpha is 0")
+
+        monkeypatch.setattr(bounds, "_nb_walk", no_walk)
+        for H in (e2, TRI3, FANO5):
+            assert prop1_rhs(H, ListAssignment.from_constant(H.n, 3)) == 0
+            assert prop1_rhs(H, ListAssignment.from_constant(H.n, 2), eta=range(H.m, 0, -1)) == 0
+            with pytest.raises(InputError, match="eta must be a permutation"):
+                prop1_rhs(H, ListAssignment.from_constant(H.n, 2), eta=[1] * H.m)
+        with pytest.raises(InputError, match="r-uniform"):
+            prop1_rhs(Hypergraph(4, [(1, 2), (1, 3, 4)]), ListAssignment.from_constant(4, 2))
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=4")
+        with pytest.raises(BudgetExceededError) as exc:
+            prop1_rhs(FANO5, ListAssignment.from_constant(7, 2))
+        assert (exc.value.cap_name, exc.value.required) == ("nb_edges", 5)
+
 
 class TestCorUniform:
     def test_worked_value(self):

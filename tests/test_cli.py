@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from hyperchrom import (
     Hypergraph,
+    InputError,
     ListAssignment,
     chromatic_polynomial,
     cli,
@@ -19,7 +22,7 @@ from hyperchrom import (
     generators,
     nb_subsets,
 )
-from hyperchrom.generators import fig1
+from hyperchrom.generators import fig1, random_antichain, random_assignment
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -294,6 +297,60 @@ class TestErrorPaths:
     def test_bad_eta_text(self, files):
         out = run_cli("chromatic", files["e1.json"], "--eta", "1,x")
         assert out.returncode == 2
+
+
+def _malformed(text: str, kind: str, rng: random.Random) -> bytes:
+    """Valid JSON text spoiled one way, at a place drawn from rng."""
+    spot = rng.choice(list(re.finditer(r"\d+", text)))
+    if kind == "oversized-int":  # past CPython's 4,300-digit int-string limit
+        return (text[: spot.start()] + "9" * rng.randint(4301, 6000) + text[spot.end():]).encode()
+    if kind == "deep-nesting":
+        depth = rng.randint(2000, 100_000)
+        return (text[: spot.start()] + "[" * depth + "]" * depth + text[spot.end():]).encode()
+    if kind == "non-utf8":
+        stray = rng.choice([b"\xff", b"\xc3(", b"\xe9"])
+        return text[: spot.start()].encode() + stray + text[spot.start():].encode()
+    key = rng.choice(sorted(json.loads(text)))  # repeated-key: a top-level key, twice
+    return ('{"%s":1,' % key + text[1:]).encode()
+
+
+class TestMalformedFiles:
+    KINDS = ("oversized-int", "deep-nesting", "non-utf8", "repeated-key")
+
+    def test_every_command_exits_2_without_traceback(self, capsys, tmp_path):
+        rng = random.Random(25)
+        runs = 0
+        for case in range(3):
+            n, k = rng.randint(4, 7), rng.randint(1, 3)
+            H = random_antichain(n, rng.randint(1, 4), rng)
+            hyper = tmp_path / f"h{case}.json"
+            lists = tmp_path / f"l{case}.json"
+            hyper.write_text(H.to_json())
+            lists.write_text(random_assignment(n, k, k + 2, rng).to_json())
+            for kind in self.KINDS:
+                bad_h = tmp_path / f"h{case}-{kind}.json"
+                bad_l = tmp_path / f"l{case}-{kind}.json"
+                bad_h.write_bytes(_malformed(H.to_json(), kind, rng))
+                bad_l.write_bytes(_malformed(lists.read_text(), kind, rng))
+                for argv in (
+                    ["chromatic", str(bad_h)],
+                    ["nb", str(bad_h)],
+                    ["plk", str(bad_h), "--k", "2"],
+                    ["list-count", str(bad_h), str(lists)],
+                    ["list-count", str(hyper), str(bad_l)],
+                ):
+                    rc = cli.main(argv)
+                    captured = capsys.readouterr()
+                    assert rc == 2, (kind, argv, captured.err[:200])
+                    assert captured.out == ""
+                    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+                    runs += 1
+        assert runs == 60
+
+    def test_repeated_hypergraph_key_refused(self):
+        with pytest.raises(InputError, match="repeated key 'n' in hypergraph JSON"):
+            Hypergraph.from_json('{"n": 3, "n": 4, "edges": [[1,2,3]]}')
+        assert Hypergraph.from_json('{"n": 3, "edges": [[1,2,3]]}') == Hypergraph(3, [(1, 2, 3)])
 
 
 class TestDeterminism:

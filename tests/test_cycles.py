@@ -24,7 +24,7 @@ from hyperchrom import (
 )
 from hyperchrom import _kernels
 from hyperchrom.cycles import _nb_walk
-from hyperchrom.generators import iter_edge_antichains
+from hyperchrom.generators import iter_edge_antichains, random_antichain
 
 
 def _covers(vmasks, members):
@@ -307,3 +307,28 @@ class TestNbSubsets:
     def test_must_contain_out_of_range(self, tri):
         with pytest.raises(InputError):
             list(nb_subsets(tri, must_contain=4))
+
+    def test_avoid_filters_the_full_stream_in_order(self):
+        rng = random.Random(21)
+        cases = [H for n in range(1, 6) for H in iter_edge_antichains(n, 4)]
+        cases += [random_antichain(rng.randint(6, 9), rng.randint(3, 11), rng) for _ in range(150)]
+        emptied = 0
+        for H in cases:
+            eta = list(range(1, H.m + 1))
+            rng.shuffle(eta)
+            avoid = rng.sample(range(1, H.m + 1), rng.randint(0, H.m))
+            skip = sum(1 << (label - 1) for label in avoid)
+            label = rng.randint(1, H.m) if H.m else None
+            for kw in ({}, {"must_contain": label}, {"size": rng.randint(0, H.m)}):
+                full = [A.mask for A in nb_subsets(H, eta=eta, **kw)]
+                kept = [A.mask for A in nb_subsets(H, eta=eta, avoid=avoid, **kw)]
+                assert kept == [mask for mask in full if mask & skip == 0], (H, eta, avoid, kw)
+                emptied += len(kept) < len(full)
+        assert len(cases) > 3000
+        assert emptied > 1000
+
+    def test_avoid_out_of_range(self, tri):
+        for avoid in ([0], [4], [1, 4], [True], [1.0], ["1"]):
+            with pytest.raises(InputError):
+                list(nb_subsets(tri, avoid=avoid))
+        assert [A.labels for A in nb_subsets(tri, avoid=[1, 2, 3])] == [()]

@@ -4,11 +4,23 @@ The oracle sums (-1)^|A| * beta(H, L, A) over ``nb_subsets(H, eta)``,
 rebuilding every member's components from scratch; ``beta`` itself is
 checked against a union-find in ``test_components.py``.  Lists are drawn
 from k + 2 colors, so some blocks share no color and their terms vanish.
+The expansion skips those terms: the last tests count what it streams
+and folds, on lists where single edges, every edge, or only blocks of
+several edges share no color, and check it against brute force too.
 """
 
 import random
 
-from hyperchrom import Hypergraph, beta, count_L_colorings_expansion, listcolor, nb_subsets
+from hyperchrom import (
+    Hypergraph,
+    ListAssignment,
+    alpha,
+    beta,
+    count_L_colorings,
+    count_L_colorings_expansion,
+    listcolor,
+    nb_subsets,
+)
 from hyperchrom.generators import iter_edge_antichains, random_antichain, random_assignment
 
 
@@ -81,3 +93,102 @@ def test_sum_does_not_depend_on_stream_order(monkeypatch):
         )
         for H, L, eta in cases:
             assert count_L_colorings_expansion(H, L, eta=eta) == _oracle(H, L, eta), (H, L.lists, eta)
+
+
+def _counted(monkeypatch):
+    """Patch the expansion's stream and block fold to count members and folds."""
+    seen = {"members": 0, "folds": 0}
+    stream, fold = listcolor.nb_subsets, listcolor._add_block
+
+    def counting_stream(*args, **kwargs):
+        for A in stream(*args, **kwargs):
+            seen["members"] += 1
+            yield A
+
+    def counting_fold(*args):
+        seen["folds"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(listcolor, "nb_subsets", counting_stream)
+    monkeypatch.setattr(listcolor, "_add_block", counting_fold)
+    return seen
+
+
+def _check_pruned(H, L, eta, seen):
+    """The expansion equals the oracle and brute force; returns (streamed, folds)."""
+    seen.update(members=0, folds=0)
+    got = count_L_colorings_expansion(H, L, eta=eta)
+    assert got == _oracle(H, L, eta) == count_L_colorings(H, L), (H, L.lists, eta)
+    return seen["members"], seen["folds"]
+
+
+def _cases(rng, count):
+    for _ in range(count):
+        H = _random_instance(rng)
+        yield H, _random_eta(H, rng) if rng.random() < 0.5 else None
+
+
+def test_colorless_edges_are_never_streamed(monkeypatch):
+    rng = random.Random(22)
+    seen = _counted(monkeypatch)
+    cases = 0
+    for H, eta in _cases(rng, 300):
+        k = rng.randint(1, 3)
+        L = random_assignment(H.n, k, k + 2, rng)
+        colorless = [e for e, a in enumerate(alpha(H, L).per_edge, 1) if a == k]
+        if not colorless:
+            continue
+        streamed, _ = _check_pruned(H, L, eta, seen)
+        full = list(nb_subsets(H, eta=eta))
+        assert streamed == sum(1 for A in full if not set(A.labels) & set(colorless))
+        assert streamed < len(full)
+        cases += 1
+    assert cases > 100
+
+
+def test_every_edge_colorless_leaves_k_to_the_n(monkeypatch):
+    rng = random.Random(23)
+    seen = _counted(monkeypatch)
+    for H, eta in _cases(rng, 60):
+        k = rng.randint(1, 3)
+        L = ListAssignment(k, {v: range(k * v, k * v + k) for v in range(1, H.n + 1)})
+        streamed, folds = _check_pruned(H, L, eta, seen)
+        assert count_L_colorings_expansion(H, L, eta=eta) == k**H.n
+        assert (streamed, folds) == (1, 0)
+        assert streamed < len(list(nb_subsets(H, eta=eta))) or H.m == 0
+
+
+def test_merged_blocks_that_die_prune_their_supersets(monkeypatch):
+    # every edge shares a color, so all of NB(H) is streamed; a member whose
+    # merged block shares none stops the fold for every member above it
+    seen = _counted(monkeypatch)
+    path = Hypergraph(4, [(1, 2), (2, 3), (3, 4)])
+    L = ListAssignment(2, {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 5)})
+    # {e1, e2} and {e2, e3} die, so {e1, e2, e3} is streamed but not built
+    assert _check_pruned(path, L, None, seen) == (8, 6)
+    rng = random.Random(24)
+    cases = 0
+    for H, eta in _cases(rng, 400):
+        k = rng.randint(2, 3)
+        # each edge's vertices share a color drawn for that edge; the rest
+        # of each list is filled from the same 3k colors
+        lists = {v: set() for v in range(1, H.n + 1)}
+        for edge in H.edges:
+            color = rng.randint(1, 3 * k)
+            for v in edge:
+                lists[v].add(color)
+        if any(len(colors) > k for colors in lists.values()):
+            continue
+        for colors in lists.values():
+            while len(colors) < k:
+                colors.add(rng.randint(1, 3 * k))
+        L = ListAssignment(k, lists)
+        members = list(nb_subsets(H, eta=eta))
+        assert alpha(H, L).per_edge.count(k) == 0
+        if all(beta(H, L, A) for A in members):
+            continue
+        streamed, folds = _check_pruned(H, L, eta, seen)
+        assert streamed == len(members)
+        assert folds <= len(members) - 1
+        cases += folds < len(members) - 1
+    assert cases > 30
