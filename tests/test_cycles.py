@@ -312,20 +312,21 @@ class TestNbSubsets:
         rng = random.Random(21)
         cases = [H for n in range(1, 6) for H in iter_edge_antichains(n, 4)]
         cases += [random_antichain(rng.randint(6, 9), rng.randint(3, 11), rng) for _ in range(150)]
-        emptied = 0
+        thinned = 0
         for H in cases:
             eta = list(range(1, H.m + 1))
             rng.shuffle(eta)
             avoid = rng.sample(range(1, H.m + 1), rng.randint(0, H.m))
             skip = sum(1 << (label - 1) for label in avoid)
             label = rng.randint(1, H.m) if H.m else None
-            for kw in ({}, {"must_contain": label}, {"size": rng.randint(0, H.m)}):
+            size = rng.randint(0, H.m)
+            for kw in ({}, {"must_contain": label}, {"size": size}, {"must_contain": label, "size": size}):
                 full = [A.mask for A in nb_subsets(H, eta=eta, **kw)]
                 kept = [A.mask for A in nb_subsets(H, eta=eta, avoid=avoid, **kw)]
                 assert kept == [mask for mask in full if mask & skip == 0], (H, eta, avoid, kw)
-                emptied += len(kept) < len(full)
+                thinned += len(kept) < len(full)
         assert len(cases) > 3000
-        assert emptied > 1000
+        assert thinned > 1000
 
     def test_avoid_out_of_range(self, tri):
         for avoid in ([0], [4], [1, 4], [True], [1.0], ["1"]):
