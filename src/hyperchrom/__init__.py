@@ -6,154 +6,118 @@ brute force and through the matching expansion, computes the list-color
 function exactly on small instances, and verifies the family of lower
 bounds and thresholds relating the two quantities.
 
-Importing the package loads neither numpy nor mpmath.  numpy is imported
-only by ``_kernels``, which the exact list-color function and the
-assignment scan import when they run; mpmath only by
+Importing the package loads none of its submodules.  Every public name
+resolves on first use through the module ``__getattr__`` (PEP 562), which
+imports the submodule that the ``_LAZY`` table names for it, so a caller
+pays only for the modules it reaches: ``cycles`` (with ``hypercore``,
+``errors`` and ``budget``) for the delta-cycle catalog and NB(H),
+``chromatic`` on top for P(H, k), ``listcolor`` on top for list colorings,
+and ``bounds`` on top for the bounds, thresholds and ``BoundReport``.
+numpy is imported only by ``_kernels``, which the exact list-color
+function and the assignment scan import when they run; mpmath only by
 ``closed_forms``, the extended-precision closed forms, C_THM3 and
-verify_grids.  Their names here, and ``get_backend``, resolve on first
-use through the module ``__getattr__`` (PEP 562) and its ``_LAZY`` table.
+verify_grids.
 """
 
 import importlib
 
-from .errors import (
-    BudgetExceededError,
-    GeneratorError,
-    HyperchromError,
-    InputError,
-    UndefinedStatisticError,
-)
-from .hypercore import (
-    EdgeSubset,
-    Hypergraph,
-    components,
-    gamma,
-    is_linear,
-    rho,
-    uniformity,
-    validate,
-)
-from .cycles import (
-    DeltaCycleCatalog,
-    enumerate_delta_cycles,
-    is_delta_cycle,
-    nb_subsets,
-    normalize_eta,
-)
-from .chromatic import IntPolynomial, chromatic_polynomial, count_proper_colorings
-from .listcolor import (
-    AlphaProfile,
-    ListAssignment,
-    alpha,
-    beta,
-    count_L_colorings,
-    count_L_colorings_expansion,
-    list_color_function_exact,
-    list_color_function_search,
-)
-from .bounds import (
-    BoundReport,
-    C_THM2,
-    cor_linear_rhs_exact,
-    cor_uniform_rhs_exact,
-    prop1_rhs,
-    reports_to_csv,
-    scan_assignments_one_extra_color,
-    theorem_certify,
-    thm2_gap_factor,
-    thm3_gap_factor,
-    threshold_thm1,
-    threshold_thm2,
-    threshold_thm3,
-)
-
 # public name -> the submodule that defines it, imported on first use
 _LAZY = {
-    **dict.fromkeys(
+    name: module
+    for module, names in (
         (
-            "C_THM3",
-            "Psi_r",
-            "cor_linear_rhs",
-            "cor_uniform_rhs",
-            "phi1_M",
-            "phi2_M",
-            "phi_Mkt",
-            "phi_xy_thm2",
-            "phi_xy_thm3",
-            "psi_Mt",
-            "psi_identity_relerr",
-            "psi_x_thm3",
-            "verify_grids",
-            "x0",
-            "x1",
+            "errors",
+            (
+                "BudgetExceededError",
+                "GeneratorError",
+                "HyperchromError",
+                "InputError",
+                "UndefinedStatisticError",
+            ),
         ),
-        "closed_forms",
-    ),
-    "get_backend": "_kernels",
+        (
+            "hypercore",
+            (
+                "EdgeSubset",
+                "Hypergraph",
+                "components",
+                "gamma",
+                "is_linear",
+                "rho",
+                "uniformity",
+                "validate",
+            ),
+        ),
+        (
+            "cycles",
+            (
+                "DeltaCycleCatalog",
+                "enumerate_delta_cycles",
+                "is_delta_cycle",
+                "nb_subsets",
+                "normalize_eta",
+            ),
+        ),
+        ("chromatic", ("IntPolynomial", "chromatic_polynomial", "count_proper_colorings")),
+        (
+            "listcolor",
+            (
+                "AlphaProfile",
+                "ListAssignment",
+                "alpha",
+                "beta",
+                "count_L_colorings",
+                "count_L_colorings_expansion",
+                "list_color_function_exact",
+                "list_color_function_search",
+            ),
+        ),
+        (
+            "bounds",
+            (
+                "BoundReport",
+                "C_THM2",
+                "cor_linear_rhs_exact",
+                "cor_uniform_rhs_exact",
+                "prop1_rhs",
+                "reports_to_csv",
+                "scan_assignments_one_extra_color",
+                "theorem_certify",
+                "thm2_gap_factor",
+                "thm3_gap_factor",
+                "threshold_thm1",
+                "threshold_thm2",
+                "threshold_thm3",
+            ),
+        ),
+        (
+            "closed_forms",
+            (
+                "C_THM3",
+                "Psi_r",
+                "cor_linear_rhs",
+                "cor_uniform_rhs",
+                "phi1_M",
+                "phi2_M",
+                "phi_Mkt",
+                "phi_xy_thm2",
+                "phi_xy_thm3",
+                "psi_Mt",
+                "psi_identity_relerr",
+                "psi_x_thm3",
+                "verify_grids",
+                "x0",
+                "x1",
+            ),
+        ),
+        ("_kernels", ("get_backend",)),
+    )
+    for name in names
 }
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "GeneratorError",
-    "HyperchromError",
-    "InputError",
-    "UndefinedStatisticError",
-    "EdgeSubset",
-    "Hypergraph",
-    "components",
-    "gamma",
-    "is_linear",
-    "rho",
-    "uniformity",
-    "validate",
-    "DeltaCycleCatalog",
-    "enumerate_delta_cycles",
-    "is_delta_cycle",
-    "nb_subsets",
-    "normalize_eta",
-    "IntPolynomial",
-    "chromatic_polynomial",
-    "count_proper_colorings",
-    "AlphaProfile",
-    "ListAssignment",
-    "alpha",
-    "beta",
-    "count_L_colorings",
-    "count_L_colorings_expansion",
-    "list_color_function_exact",
-    "list_color_function_search",
-    "BoundReport",
-    "C_THM2",
-    "C_THM3",
-    "Psi_r",
-    "cor_linear_rhs",
-    "cor_linear_rhs_exact",
-    "cor_uniform_rhs",
-    "cor_uniform_rhs_exact",
-    "phi1_M",
-    "phi2_M",
-    "phi_Mkt",
-    "phi_xy_thm2",
-    "phi_xy_thm3",
-    "prop1_rhs",
-    "psi_Mt",
-    "psi_identity_relerr",
-    "psi_x_thm3",
-    "reports_to_csv",
-    "scan_assignments_one_extra_color",
-    "theorem_certify",
-    "thm2_gap_factor",
-    "thm3_gap_factor",
-    "threshold_thm1",
-    "threshold_thm2",
-    "threshold_thm3",
-    "verify_grids",
-    "x0",
-    "x1",
-    "get_backend",
-]
+__all__ = list(_LAZY)
 
 
 def __getattr__(name):

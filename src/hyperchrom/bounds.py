@@ -397,7 +397,9 @@ def scan_assignments_one_extra_color(
     least the per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs
     times k^(n-r) * alpha when those checks are requested.  A positive
     gap_factor additionally tracks the strict margin
-    P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.
+    P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.  The linear
+    corollary holds only for r >= 3, so on a graph (r = 2) check_linear
+    is skipped and viol_linear stays 0.
 
     Returns counts, each pattern counted with multiplicity: checked,
     viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin
@@ -447,7 +449,7 @@ def scan_assignments_one_extra_color(
     fracs = []  # (the violation it counts, a corollary bound's exact rational)
     if H.m >= 2 and check_uniform:
         fracs.append(("viol_uniform", cor_uniform_rhs_exact(H.m, hypercore.rho(H), k)))
-    if H.m >= 2 and check_linear:
+    if H.m >= 2 and check_linear and r >= 3:
         fracs.append(("viol_linear", cor_linear_rhs_exact(H.m, r, k)))
     # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
     top, limit = H.m * (r - 1), k**H.n + 1

@@ -124,6 +124,7 @@ def chromatic_polynomial(
         for every k >= 0.
     """
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
+    require_valid(H)
     _require_own_catalog(H, catalog)
     # members counted by component count, even sizes in row 0 and odd in row 1
     counts = [[0] * (H.n + 1), [0] * (H.n + 1)]

@@ -9,12 +9,19 @@ once, in ``build_parser``.  ``gen`` takes its families from the
 and seed; every numeric result is also available as a structured JSON
 record via --json.
 
-Only ``verify --grids`` imports mpmath, and only the commands that run
-the exact list-color function or the float grids import numpy (``plk``
-without ``--heuristic``, ``verify --grids``, and ``verify --theorem`` when
-its exact check fits the caps), each when it runs; the others, the
-brute-force counts of ``chromatic --oracle`` and ``list-count`` included,
-start without either library.
+Each command imports the library modules it runs when it runs, so a
+call loads only what it needs.  This module loads ``errors`` and
+``hypercore`` (to read and check the instance) and the standard library's
+``argparse``, ``json`` and ``pathlib``.  ``delta-cycles`` and ``nb`` add
+``cycles``; ``chromatic`` adds ``chromatic`` on top; ``list-count`` and
+``plk`` add ``listcolor`` on top of that, and ``gen`` adds ``generators``
+on top of ``listcolor``; only ``verify`` loads ``bounds``, and with it
+``dataclasses`` and ``fractions``.  Only ``verify --grids`` imports mpmath,
+and only the commands that run the exact list-color function or the float
+grids import numpy (``plk`` without ``--heuristic``, ``verify --grids``,
+and ``verify --theorem`` when its exact check fits the caps); the others,
+the brute-force counts of ``chromatic --oracle`` and ``list-count``
+included, start without either library.
 
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
 (oracle or route mismatch, a failing bound), 2 input error, 3 budget
@@ -28,23 +35,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import reports_to_csv, theorem_certify
-from .chromatic import chromatic_polynomial, count_proper_colorings
-from .cycles import enumerate_delta_cycles, nb_subsets
 from .errors import BudgetExceededError, GeneratorError, HyperchromError, InputError, read_text
 from .hypercore import Hypergraph, validate
-from .listcolor import (
-    ListAssignment,
-    alpha,
-    count_L_colorings,
-    count_L_colorings_expansion,
-    list_color_function_exact,
-    list_color_function_search,
-)
-from . import generators
 
 __all__ = ["main", "build_parser"]
 
@@ -66,15 +60,13 @@ def _load_hypergraph(path: str) -> Hypergraph:
     return H
 
 
-def _load_assignment(path: str) -> ListAssignment:
-    return ListAssignment.from_json(read_text(path))
-
-
 def _labels_text(labels) -> str:
     return "{" + ",".join(f"e{lab}" for lab in labels) + "}"
 
 
 def cmd_chromatic(args: argparse.Namespace) -> int:
+    from .chromatic import chromatic_polynomial, count_proper_colorings
+
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     poly = chromatic_polynomial(H, eta=eta)
@@ -103,6 +95,8 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 
 
 def cmd_delta_cycles(args: argparse.Namespace) -> int:
+    from .cycles import enumerate_delta_cycles
+
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     catalog = enumerate_delta_cycles(H)
@@ -129,6 +123,8 @@ def cmd_delta_cycles(args: argparse.Namespace) -> int:
 
 
 def cmd_nb(args: argparse.Namespace) -> int:
+    from .cycles import nb_subsets
+
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     subsets = [
@@ -145,9 +141,11 @@ def cmd_nb(args: argparse.Namespace) -> int:
 
 
 def cmd_list_count(args: argparse.Namespace) -> int:
+    from .listcolor import ListAssignment, alpha, count_L_colorings, count_L_colorings_expansion
+
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
-    L = _load_assignment(args.assignment)
+    L = ListAssignment.from_json(read_text(args.assignment))
     brute = count_L_colorings(H, L)
     expansion = count_L_colorings_expansion(H, L, eta=eta)
     profile = alpha(H, L)
@@ -172,6 +170,9 @@ def cmd_list_count(args: argparse.Namespace) -> int:
 
 
 def cmd_plk(args: argparse.Namespace) -> int:
+    from .chromatic import chromatic_polynomial, count_proper_colorings
+    from .listcolor import list_color_function_exact, list_color_function_search
+
     H = _load_hypergraph(args.input)
     try:
         p = chromatic_polynomial(H).eval(args.k)
@@ -237,6 +238,10 @@ def _expand_paths(paths: list[str]) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .bounds import reports_to_csv, theorem_certify
+
     reports = []
     if args.grids:
         from .closed_forms import verify_grids  # the one command that needs mpmath
@@ -274,20 +279,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any(rep.verdict == "fails" for rep in reports) else 0
 
 
-# family -> (generator, the flags it needs in order, whether it takes --seed)
+# family -> (its function in generators, the flags it needs in order, whether it takes --seed)
 _FAMILIES = {
-    "random-linear": (generators.random_linear_r_uniform, ("n", "m", "r"), True),
-    "random-linear-r-uniform": (generators.random_linear_r_uniform, ("n", "m", "r"), True),
-    "random-rho": (generators.random_r_uniform_rho, ("n", "m", "r", "rho"), True),
-    "random-r-uniform-rho": (generators.random_r_uniform_rho, ("n", "m", "r", "rho"), True),
-    "tight-path": (generators.tight_path, ("n", "r"), False),
-    "sunflower-free": (generators.sunflower_free, ("n", "m", "r"), True),
-    "fig1": (generators.fig1, ("index",), False),
+    "random-linear": ("random_linear_r_uniform", ("n", "m", "r"), True),
+    "random-linear-r-uniform": ("random_linear_r_uniform", ("n", "m", "r"), True),
+    "random-rho": ("random_r_uniform_rho", ("n", "m", "r", "rho"), True),
+    "random-r-uniform-rho": ("random_r_uniform_rho", ("n", "m", "r", "rho"), True),
+    "tight-path": ("tight_path", ("n", "r"), False),
+    "sunflower-free": ("sunflower_free", ("n", "m", "r"), True),
+    "fig1": ("fig1", ("index",), False),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    make, flags, seeded = _FAMILIES[args.family]
+    from . import generators
+
+    name, flags, seeded = _FAMILIES[args.family]
+    make = getattr(generators, name)
     values = []
     for flag in flags:
         value = getattr(args, flag)

@@ -22,6 +22,7 @@ Structural statistics:
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -197,9 +198,10 @@ class Hypergraph:
 def validate(H: Hypergraph) -> list[str]:
     """Return every invariant violation; an empty list means the instance is ok.
 
-    Checked: edge size >= 2, vertices inside 1..n, no duplicate edges, and no
-    edge contained in another.  Violations are data, not exceptions.  The
-    verdict is computed once per instance and cached on it.
+    Checked: n at most sys.maxsize (a larger n is the one violation
+    reported), edge size >= 2, vertices inside 1..n, no duplicate edges,
+    and no edge contained in another.  Violations are data, not
+    exceptions.  The verdict is computed once per instance and cached on it.
     """
     return list(_cached_violations(H))
 
@@ -224,6 +226,9 @@ def _cached_violations(H: Hypergraph) -> list[str]:
 
 
 def _violations(H: Hypergraph) -> list[str]:
+    if H.n > sys.maxsize:
+        # no list of n + 1 counts fits past sys.maxsize, and str(n) may pass the int-to-str limit
+        return [f"vertex count n exceeds sys.maxsize = {sys.maxsize}"]
     violations = []
     seen: dict[tuple, int] = {}
     in_range = True

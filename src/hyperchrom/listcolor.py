@@ -35,10 +35,9 @@ import json
 import operator
 import random
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import budget
 from .chromatic import _count_colorings
@@ -153,8 +152,7 @@ class ListAssignment:
         return f"ListAssignment(k={self.k}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
+class AlphaProfile(NamedTuple):
     """Per-edge list disagreement alpha(e, L) = k - |common colors of e|."""
 
     per_edge: tuple[int, ...]

@@ -427,6 +427,14 @@ class TestAssignmentScan:
         assert res["viol_prop"] == 0
         assert res["viol_linear"] == 0
 
+    def test_graph_skips_linear_check(self):
+        # the linear corollary needs r >= 3; on a graph the defaults still answer
+        path = Hypergraph(4, [(1, 2), (2, 3), (3, 4)])
+        res = scan_assignments_one_extra_color(path, 2)
+        assert res == scan_assignments_one_extra_color(path, 2, check_linear=False)
+        assert res["checked"] > 0
+        assert res["viol_linear"] == 0
+
     def test_empty_instance(self):
         res = scan_assignments_one_extra_color(Hypergraph(3, []), 2)
         assert res["checked"] == 0

@@ -347,6 +347,21 @@ class TestMalformedFiles:
                     runs += 1
         assert runs == 60
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("chromatic",), ("nb",), ("delta-cycles",), ("plk", "--k", "2")],
+        ids=["chromatic", "nb", "delta-cycles", "plk"],
+    )
+    def test_n_past_sys_maxsize_exits_2(self, capsys, tmp_path, argv):
+        # 4,000 digits pass the JSON reader, but no count list can be that long
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"n": %s, "edges": [[1,2,3]]}' % ("9" * 4000))
+        rc = cli.main([argv[0], str(huge), *argv[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exceeds sys.maxsize" in captured.err
+
     def test_repeated_hypergraph_key_refused(self):
         with pytest.raises(InputError, match="repeated key 'n' in hypergraph JSON"):
             Hypergraph.from_json('{"n": 3, "n": 4, "edges": [[1,2,3]]}')

@@ -1,5 +1,7 @@
 """Core data structures and hypergraph statistics."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,13 @@ class TestValidate:
             "edge 3 is contained in edge 7",
             "edge 5 is contained in edge 6",
         ]
+
+    def test_n_past_sys_maxsize(self):
+        # n has more digits than str() converts; the message must not format it
+        H = Hypergraph(10**5000, [(1, 2, 3), (0, 1)])
+        assert validate(H) == [f"vertex count n exceeds sys.maxsize = {sys.maxsize}"]
+        with pytest.raises(InputError, match="exceeds sys.maxsize"):
+            chromatic_polynomial(H)
 
 
 class TestRefuseInvalid:

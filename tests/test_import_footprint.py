@@ -1,11 +1,12 @@
-"""Which commands load numpy and mpmath.
+"""Which commands load numpy and mpmath, and which of the library's modules.
 
 Most of the library is exact pure Python, so ``import hyperchrom`` and the
 commands that walk NB(H), count colorings by brute force or read thresholds
-must start without numpy or mpmath.  Each case runs in a fresh interpreter:
-it imports hyperchrom, calls ``hyperchrom.cli.main(argv)`` (or a library
-function) and reports which of the two libraries ended up in
-``sys.modules``.
+must start without numpy or mpmath.  Each command also imports only the
+library modules it runs, and ``import hyperchrom`` none.  Each case runs in
+a fresh interpreter: it imports hyperchrom, calls
+``hyperchrom.cli.main(argv)`` (or a library function) and reports which of
+the libraries or modules ended up in ``sys.modules``.
 """
 
 import json
@@ -36,9 +37,14 @@ _PROBE = (
     f"print(json.dumps([rc, {_LOADED}]))\n"
 )
 
+# the same run, reporting the package's submodules and dataclasses instead
+_MODULES_PROBE = _PROBE.replace(
+    _LOADED, "sorted(m for m in sys.modules if m.startswith('hyperchrom.') or m == 'dataclasses')"
+)
+
 
 def loaded(code, *argv):
-    """The first value code prints, and the libraries it found loaded, in a fresh interpreter."""
+    """The first value code prints, and what it found loaded, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("HYPERCHROM_BUDGET", None)  # the default caps
     proc = subprocess.run(
@@ -96,6 +102,29 @@ def test_exact_commands_load_neither(files, argv):
 @pytest.mark.parametrize("argv", [("plk", "{small}", "--k", "2", "--json")], ids=["plk"])
 def test_kernel_commands_load_numpy_only(files, argv):
     assert loaded(_PROBE, *(a.format(**files) for a in argv)) == (0, ["numpy"])
+
+
+def test_import_loads_no_submodule():
+    assert loaded(_MODULES_PROBE) == (None, [])
+
+
+_NO_COUNTS = {"chromatic", "listcolor", "bounds", "generators", "dataclasses"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("delta-cycles", "{fano}", "--json"), _NO_COUNTS),
+        (("nb", "{fano}"), _NO_COUNTS),
+        (("chromatic", "{fano}", "--k", "3", "--oracle", "--json"), {"listcolor", "bounds", "generators"}),
+        (("list-count", "{fano}", "{lists}", "--json"), {"bounds", "generators", "dataclasses"}),
+    ],
+    ids=["delta-cycles", "nb", "chromatic-oracle", "list-count"],
+)
+def test_commands_leave_modules_unloaded(files, argv, unloaded):
+    rc, modules = loaded(_MODULES_PROBE, *(a.format(**files) for a in argv))
+    assert rc == 0
+    assert not {m.removeprefix("hyperchrom.") for m in modules} & unloaded, modules
 
 
 def test_grids_load_both(tmp_path):

@@ -1,4 +1,7 @@
-"""The package namespace: every public name resolves, eagerly or on first use."""
+"""The package namespace: every public name resolves on first use, through one table."""
+
+import ast
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -18,6 +21,27 @@ def test_star_import_binds_all():
     assert not missing
     assert scope["verify_grids"] is hyperchrom.closed_forms.verify_grids
     assert scope["get_backend"]() == "numpy"
+
+
+def _defined_names(module):
+    """The names a submodule binds at top level by def, class or assignment, not by import."""
+    tree = ast.parse((Path(hyperchrom.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_lazy_table_names_each_defining_module():
+    # one table serves every public name: no stale key, none missing
+    assert set(hyperchrom._LAZY) == set(hyperchrom.__all__)
+    defined = {module: _defined_names(module) for module in set(hyperchrom._LAZY.values())}
+    wrong = {name: module for name, module in hyperchrom._LAZY.items() if name not in defined[module]}
+    assert not wrong
 
 
 def test_dir_lists_all():
