@@ -2,10 +2,11 @@
 
 Everything here revolves around the difference P(H, L) - P(H, k) for a
 k-assignment L.  The per-edge bound (prop1_rhs), the corollary bounds'
-exact rationals (cor_*_rhs_exact) and the assignment scan are exact
-integer arithmetic; the thresholds of Theorems 1-3 and their gap factors
-are plain floats.  The extended-precision modes of the corollary bounds,
-the proof-auxiliary closed forms, C_THM3 and verify_grids live in
+exact rationals (cor_*_rhs_exact, whose series share ``_odd_tail``) and
+the assignment scan are exact integer arithmetic; the thresholds of
+Theorems 1-3 (one formula, ``_threshold``) and their gap factors are plain
+floats.  The extended-precision modes of the corollary bounds, the
+proof-auxiliary closed forms, C_THM3 and verify_grids live in
 ``closed_forms``, the one module that imports mpmath.
 
 The per-edge bound's margins k^(n-r) - w_e(k) are formed in one place,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable
 
 from . import budget, hypercore
@@ -179,77 +181,63 @@ def _edge_margins(H: Hypergraph, r: int, k: int, eta) -> list[int]:
     return [big_k - w for w in _even_weights(_even_edge_table(H, eta), k)]
 
 
-def _check_mrk(m: int, k: int, lo_m: int = 2) -> int:
-    if m < lo_m:
-        raise InputError(f"m must be >= {lo_m}, got {m}")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    return m - 1
-
-
 def cor_uniform_rhs_exact(m: int, rho: int, k: int) -> Fraction:
-    """Binomial mode of cor_uniform_rhs as an exact rational."""
-    M = _check_mrk(m, k)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    total = Fraction(1)
-    i = 1
-    while 2 * i - 1 <= M:
-        total -= Fraction(math.comb(M, 2 * i - 1), k ** (2 * i + rho - 2))
-        i += 1
-    return total
+    """Binomial mode of cor_uniform_rhs as an exact rational; m, rho and k
+    must be integers."""
+    M, k = require_int(m, "m", 2) - 1, require_int(k, "k", 1)
+    return 1 - _odd_tail(M, k, 1, require_int(rho, "rho", 1) - 2)
 
 
 def cor_linear_rhs_exact(m: int, r: int, k: int) -> Fraction:
-    """Binomial mode of cor_linear_rhs as an exact rational."""
-    M = _check_mrk(m, k)
-    if r < 3:
-        raise InputError(f"r must be >= 3, got {r}")
-    total = Fraction(1) - Fraction(M, k ** (r - 1))
-    i = 2
-    while 2 * i - 1 <= M:
-        total -= Fraction(math.comb(M, 2 * i - 1), k ** (2 * i + 2 * r - 6))
-        i += 1
-    return total
+    """Binomial mode of cor_linear_rhs as an exact rational; m, r and k
+    must be integers."""
+    M, k = require_int(m, "m", 2) - 1, require_int(k, "k", 1)
+    r = require_int(r, "r", 3)
+    return 1 - Fraction(M, k ** (r - 1)) - _odd_tail(M, k, 2, 2 * r - 6)
 
 
-def _check_threshold_m(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"m must be an integer >= 2, got {m!r}")
+def _odd_tail(M: int, k: int, first: int, shift: int) -> Fraction:
+    """The sum over i >= first with 2i - 1 <= M of C(M, 2i - 1) / k^(2i + shift),
+    over the one denominator k^(M + 1 + shift)."""
+    odd = range(2 * first - 1, M + 1, 2)  # j = 2i - 1
+    return Fraction(sum(math.comb(M, j) * k ** (M - j) for j in odd), k ** (M + 1 + shift))
 
 
-def threshold_thm1(m: int, rho: int) -> float:
+def threshold_thm1(m: int, rho: float) -> float:
     """k at or above 2.4(m-1)/(rho * ln(m-1)) forces P_l = P for
     r-uniform H (r >= 3) with the given rho >= 2 and m >= rho^3/2 + 1.
 
     Pure formula; the extra hypotheses are the caller's to gate on
     (theorem_certify reports them through applicability).  m = 2 gives
-    an infinite threshold since ln(m-1) vanishes.
+    an infinite threshold since ln(m-1) vanishes.  rho may be any real
+    number >= 1, but not a bool.
     """
-    _check_threshold_m(m)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    if m == 2:
-        return math.inf
-    return 2.4 * (m - 1) / (rho * math.log(m - 1))
+    return _threshold(m, 2.4, rho)
 
 
 def threshold_thm2(m: int) -> float:
     """k at or above 1.185(m-1)/ln(m-1) forces P_l = P for linear
     3-uniform H with m >= 3."""
-    _check_threshold_m(m)
-    if m == 2:
-        return math.inf
-    return 1.185 * (m - 1) / math.log(m - 1)
+    return _threshold(m, 1.185)
 
 
 def threshold_thm3(m: int) -> float:
     """k at or above 0.831(m-1)/ln(m-1) forces P_l = P for linear
     r-uniform H with r >= 4 and m >= 3."""
-    _check_threshold_m(m)
+    return _threshold(m, 0.831)
+
+
+def _threshold(m: int, c: float, rho: float = 1) -> float:
+    """c(m-1)/(rho * ln(m-1)), infinite at m = 2, for an integer m >= 2."""
+    if not isinstance(m, int) or m < 2:
+        raise InputError(f"m must be an integer >= 2, got {m!r}")
+    if not isinstance(rho, Real) or isinstance(rho, bool):
+        raise InputError(f"rho must be a number, got {rho!r}")
+    if not rho >= 1:
+        raise InputError(f"rho must be >= 1, got {rho}")
     if m == 2:
         return math.inf
-    return 0.831 * (m - 1) / math.log(m - 1)
+    return c * (m - 1) / (rho * math.log(m - 1))
 
 
 def thm2_gap_factor(m: int) -> float:
@@ -308,62 +296,48 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
             if m < rho_val**3 / 2 + 1:
                 applicability.append("m < rho^3/2 + 1")
             threshold = threshold_thm1(m, rho_val)
-    elif which == 2:
-        if r != 3:
-            applicability.append("not 3-uniform")
+    else:  # Theorems 2 and 3 differ only in the uniformity clause and the threshold
+        uniform, clause, threshold_of = {
+            2: (r == 3, "not 3-uniform", threshold_thm2),
+            3: (r is not None and r >= 4, "not r-uniform with r >= 4", threshold_thm3),
+        }[which]
+        if not uniform:
+            applicability.append(clause)
         if not hypercore.is_linear(H):
             applicability.append("not linear")
         if m < 3:
             applicability.append("m < 3")
         if m >= 2:
-            threshold = threshold_thm2(m)
-    else:
-        if r is None or r < 4:
-            applicability.append("not r-uniform with r >= 4")
-        if not hypercore.is_linear(H):
-            applicability.append("not linear")
-        if m < 3:
-            applicability.append("m < 3")
-        if m >= 2:
-            threshold = threshold_thm3(m)
+            threshold = threshold_of(m)
 
-    name = f"theorem{which}_threshold"
-    if applicability:
-        return BoundReport(
-            name=name,
-            inputs=inputs,
-            lhs=k,
-            rhs=threshold,
-            relation=">=",
-            verdict="not-applicable",
-            applicability=tuple(applicability),
-        )
-
-    assert threshold is not None
-    meets = k >= threshold - STRICT_SLACK
-    verdict = "holds" if meets else "inconclusive"
+    verdict = "not-applicable"
     details: dict = {}
-    if effort != "threshold":
-        try:
-            # every refusal before the search: exact P_l's first, as when it ran first
-            _exact_caps(H.n, k)
-            budget.check_cap("nb_edges", m, "broken delta-cycle expansion")
-            plk, _witness = list_color_function_exact(H, k)
-            p = chromatic_polynomial(H).eval(k)
-        except BudgetExceededError:
-            if effort == "exact":
-                raise
-        else:
-            details = {"P_l": plk, "P": p, "exact_equal": plk == p}
-            if meets and plk != p:
-                verdict = "fails"
+    if not applicability:
+        assert threshold is not None
+        meets = k >= threshold - STRICT_SLACK
+        verdict = "holds" if meets else "inconclusive"
+        if effort != "threshold":
+            try:
+                # every refusal before the search: exact P_l's first, as when it ran first
+                _exact_caps(H.n, k)
+                budget.check_cap("nb_edges", m, "broken delta-cycle expansion")
+                plk, _witness = list_color_function_exact(H, k)
+                p = chromatic_polynomial(H).eval(k)
+            except BudgetExceededError:
+                if effort == "exact":
+                    raise
+            else:
+                details = {"P_l": plk, "P": p, "exact_equal": plk == p}
+                if meets and plk != p:
+                    verdict = "fails"
     return BoundReport(
-        name=name,
+        name=f"theorem{which}_threshold",
         inputs=inputs,
         lhs=k,
         rhs=threshold,
         relation=">=",
         verdict=verdict,
+        applicability=tuple(applicability),
         details=details,
     )
 

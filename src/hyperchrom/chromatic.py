@@ -126,12 +126,18 @@ def chromatic_polynomial(
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     require_valid(H)
     _require_own_catalog(H, catalog)
-    # members counted by component count, even sizes in row 0 and odd in row 1
-    counts = [[0] * (H.n + 1), [0] * (H.n + 1)]
+    covered = 0
+    for vmask in H.edge_vertex_masks():
+        covered |= vmask
+    # every member leaves the vertices in no edge isolated, so its component
+    # count c lies in base..n; row 0 counts even sizes by c - base, row 1 odd ones
+    width = covered.bit_count() + 1
+    base = H.n + 1 - width
+    counts = [[0] * width, [0] * width]
     for _mask, size, comps, _blocks in _nb_walk(H, eta):
-        counts[size & 1][comps] += 1
+        counts[size & 1][comps - base] += 1
     even, odd = counts
-    return IntPolynomial({c: even[c] - odd[c] for c in range(H.n + 1)})
+    return IntPolynomial({base + c: even[c] - odd[c] for c in range(width)})
 
 
 def count_proper_colorings(H: Hypergraph, k: int) -> int:

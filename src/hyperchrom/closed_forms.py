@@ -9,6 +9,12 @@ each as a BoundReport.  Throughout, M abbreviates m - 1 and x abbreviates
 M / k, as in ``bounds``.  All logarithms are natural: the closed forms pair
 log with exp, and any other base breaks the psi identity check.
 
+Each closed form the grids check is written once: ``_psi`` (psi(M, t)),
+``_phi`` (phi(M, k, t)), ``_phi1``, ``_phi2`` and ``_psi_x`` (psi(x) for
+r >= 4).  The exported functions and ``psi_identity_relerr`` evaluate them
+on mpf values, ``verify_grids`` on float64 grids.  The exact corollary
+rationals, the thresholds and the gap factors live in ``bounds``.
+
 This is the only module that imports mpmath, and its float grids take
 numpy from ``_kernels``.  Nothing else in the package imports it at load
 time: ``hyperchrom`` reaches its names through the package's lazy
@@ -23,14 +29,7 @@ import math
 from mpmath import mp, mpf
 
 from ._kernels import np
-from .bounds import (
-    C_THM2,
-    STRICT_SLACK,
-    BoundReport,
-    _check_mrk,
-    cor_linear_rhs_exact,
-    cor_uniform_rhs_exact,
-)
+from .bounds import C_THM2, STRICT_SLACK, BoundReport, cor_linear_rhs_exact, cor_uniform_rhs_exact
 from .errors import InputError
 
 __all__ = [
@@ -62,6 +61,49 @@ def _c_thm3() -> mpf:
 # (1 + (9/e)^(1/3)) / 3, the optimized constant of the r >= 4 threshold
 C_THM3 = _c_thm3()
 
+# The closed forms, each in the caller's arithmetic: num reads a decimal
+# constant in its number type, log and exp are its functions.
+
+
+def _psi(M, t, num, log):
+    c = num("2.4")
+    return 2 * (c * M) ** (t - 1) - (t * log(M)) ** (t - 1) * M ** (t / c)
+
+
+def _phi(M, k, t, exp):
+    return 1 - k ** (1 - t) * exp(M / k) / 2
+
+
+def _phi1(M, num, log):
+    c = num("2.4")
+    return c * M - (2 * M) ** (num(1) / 3) * log(M) * M ** (1 / c)
+
+
+def _phi2(M, num, log):
+    c = num("2.4")
+    return num(2) ** (num(1) / 6) * c * M - (2 * M) ** (num(1) / 3) * log(M) * M ** (
+        1 / c + 1 / num("14.4")
+    )
+
+
+def _psi_x(x, c, exp):
+    return 2 * exp((3 * c - 1) * x) - 3 * x**3
+
+
+def _check_mrk(m, k) -> int:
+    """M = m - 1, refusing m < 2 and k < 1; k may be any real number here."""
+    if m < 2:
+        raise InputError(f"m must be >= 2, got {m}")
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    return m - 1
+
+
+def _mpf_of(frac) -> mpf:
+    """An exact corollary rational as an mpf at _DPS digits."""
+    with mp.workdps(_DPS):
+        return mpf(frac.numerator) / frac.denominator
+
 
 def cor_uniform_rhs(m: int, rho: int, k: int, mode: str = "binomial") -> mpf:
     """Normalized lower bound for r-uniform H with the given rho, at k.
@@ -77,9 +119,7 @@ def cor_uniform_rhs(m: int, rho: int, k: int, mode: str = "binomial") -> mpf:
     if rho < 1:
         raise InputError(f"rho must be >= 1, got {rho}")
     if mode == "binomial":
-        frac = cor_uniform_rhs_exact(m, rho, k)
-        with mp.workdps(_DPS):
-            return mpf(frac.numerator) / frac.denominator
+        return _mpf_of(cor_uniform_rhs_exact(m, rho, k))
     with mp.workdps(_DPS):
         kk = mpf(k)
         if mode == "sinh":
@@ -105,9 +145,7 @@ def cor_linear_rhs(m: int, r: int, k: int, mode: str = "binomial") -> mpf:
     if r < 3:
         raise InputError(f"r must be >= 3, got {r}")
     if mode == "binomial":
-        frac = cor_linear_rhs_exact(m, r, k)
-        with mp.workdps(_DPS):
-            return mpf(frac.numerator) / frac.denominator
+        return _mpf_of(cor_linear_rhs_exact(m, r, k))
     if mode == "closed":
         with mp.workdps(_DPS):
             kk = mpf(k)
@@ -130,10 +168,7 @@ def psi_Mt(M, t) -> mpf:
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
     with mp.workdps(_DPS):
-        Mm, tt = mpf(M), mpf(t)
-        return 2 * (mpf("2.4") * Mm) ** (tt - 1) - (
-            tt * mp.log(Mm)
-        ) ** (tt - 1) * Mm ** (tt / mpf("2.4"))
+        return _psi(mpf(M), mpf(t), mpf, mp.log)
 
 
 def phi_Mkt(M, k, t) -> mpf:
@@ -143,8 +178,7 @@ def phi_Mkt(M, k, t) -> mpf:
     if M < 0:
         raise InputError(f"M must be >= 0, got {M}")
     with mp.workdps(_DPS):
-        kk = mpf(k)
-        return 1 - kk ** (1 - mpf(t)) * mp.exp(mpf(M) / kk) / 2
+        return _phi(mpf(M), mpf(k), mpf(t), mp.exp)
 
 
 def phi1_M(M) -> mpf:
@@ -152,11 +186,7 @@ def phi1_M(M) -> mpf:
     if M <= 0:
         raise InputError(f"M must be > 0, got {M}")
     with mp.workdps(_DPS):
-        Mm = mpf(M)
-        third = mpf(1) / 3
-        return mpf("2.4") * Mm - (2 * Mm) ** third * mp.log(Mm) * Mm ** (
-            1 / mpf("2.4")
-        )
+        return _phi1(mpf(M), mpf, mp.log)
 
 
 def phi2_M(M) -> mpf:
@@ -164,12 +194,7 @@ def phi2_M(M) -> mpf:
     if M <= 0:
         raise InputError(f"M must be > 0, got {M}")
     with mp.workdps(_DPS):
-        Mm = mpf(M)
-        third = mpf(1) / 3
-        expo = 1 / mpf("2.4") + 1 / mpf("14.4")
-        return mpf(2) ** (mpf(1) / 6) * mpf("2.4") * Mm - (
-            2 * Mm
-        ) ** third * mp.log(Mm) * Mm**expo
+        return _phi2(mpf(M), mpf, mp.log)
 
 
 def phi_xy_thm2(x, y) -> mpf:
@@ -195,8 +220,7 @@ def psi_x_thm3(x, c=None) -> mpf:
     if c is None:
         c = C_THM3
     with mp.workdps(_DPS):
-        xx, cc = mpf(x), mpf(c)
-        return 2 * mp.exp((3 * cc - 1) * xx) - 3 * xx**3
+        return _psi_x(mpf(x), mpf(c), mp.exp)
 
 
 def Psi_r(x, M, r) -> mpf:
@@ -252,12 +276,9 @@ def psi_identity_relerr(M, t) -> float:
         raise InputError(f"need M >= 2 and t >= 2, got M={M}, t={t}")
     with mp.workdps(40):
         Mm, tt = mpf(M), mpf(t)
-        lhs = 2 * (mpf("2.4") * Mm) ** (tt - 1) - (
-            tt * mp.log(Mm)
-        ) ** (tt - 1) * Mm ** (tt / mpf("2.4"))
+        lhs = _psi(Mm, tt, mpf, mp.log)
         k0 = mpf("2.4") * Mm / (tt * mp.log(Mm))
-        phi = 1 - k0 ** (1 - tt) * mp.exp(Mm / k0) / 2
-        rhs = 2 * k0 ** (tt - 1) * phi * (tt * mp.log(Mm)) ** (tt - 1)
+        rhs = 2 * k0 ** (tt - 1) * _phi(Mm, k0, tt, mp.exp) * (tt * mp.log(Mm)) ** (tt - 1)
         denom = max(abs(lhs), abs(rhs))
         if denom == 0:
             return 0.0
@@ -297,8 +318,7 @@ def verify_grids() -> list[BoundReport]:
 
     for t in range(2, 7):
         lo = math.ceil(t**3 / 2)
-        M = np.arange(lo, 10**4 + 1, dtype=np.float64)
-        psi = 2 * (2.4 * M) ** (t - 1) - (t * np.log(M)) ** (t - 1) * M ** (t / 2.4)
+        psi = _psi(np.arange(lo, 10**4 + 1, dtype=np.float64), t, float, np.log)
         reports.append(
             _report_min(
                 "psi_positive_grid",
@@ -315,20 +335,13 @@ def verify_grids() -> list[BoundReport]:
             np.arange(1.5, 101.0, 1.0),
         ]
     )
-    phi1 = 2.4 * M_grid - (2 * M_grid) ** (1 / 3) * np.log(M_grid) * M_grid ** (1 / 2.4)
-    reports.append(
-        _report_min("phi1_positive_grid", {"M_max": 10**4}, float(phi1.min()), ">")
-    )
-    phi2 = 2 ** (1 / 6) * 2.4 * M_grid - (2 * M_grid) ** (1 / 3) * np.log(
-        M_grid
-    ) * M_grid ** (1 / 2.4 + 1 / 14.4)
-    reports.append(
-        _report_min("phi2_positive_grid", {"M_max": 10**4}, float(phi2.min()), ">")
-    )
+    for name, form in (("phi1_positive_grid", _phi1), ("phi2_positive_grid", _phi2)):
+        low = float(form(M_grid, float, np.log).min())
+        reports.append(_report_min(name, {"M_max": 10**4}, low, ">"))
 
     c = float(C_THM3)
     x = np.arange(0, 5001, dtype=np.float64) * 0.01
-    tangent_margin = 2 * np.exp((3 * c - 1) * x) - 3 * x**3 - (2 + 2 * (3 * c - 1) * x)
+    tangent_margin = _psi_x(x, c, np.exp) - (2 + 2 * (3 * c - 1) * x)
     reports.append(
         _report_min(
             "psi_tangent_line_grid",

@@ -127,10 +127,10 @@ def enumerate_delta_cycles(H: Hypergraph) -> DeltaCycleCatalog:
     if key in H._cache:
         return H._cache[key]
     vmasks = H.edge_vertex_masks()
-    holders = [0] * H.n  # vertex bit -> mask of the edges holding it
+    holders: dict[int, int] = {}  # bit of a vertex in some edge -> mask of the edges holding it
     for j, edge in enumerate(H.edges):
         for v in edge:
-            holders[v - 1] |= 1 << j
+            holders[v - 1] = holders.get(v - 1, 0) | 1 << j
     found: list[int] = []
     for i0 in range(m):
         # (edge set, vertices covered once, covered twice or more, open edges)

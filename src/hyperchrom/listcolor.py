@@ -32,7 +32,6 @@ force loads no numpy.
 from __future__ import annotations
 
 import json
-import operator
 import random
 import re
 from itertools import combinations
@@ -42,7 +41,7 @@ from typing import Iterable, Mapping, NamedTuple
 from . import budget
 from .chromatic import _count_colorings
 from .cycles import DeltaCycleCatalog, _require_own_catalog, nb_subsets
-from .errors import InputError, parse_json, require_int
+from .errors import InputError, parse_json, require_int, require_ints
 from .hypercore import EdgeSubset, Hypergraph, _add_block, _set_bits, _subset_blocks, require_valid
 
 __all__ = [
@@ -63,8 +62,8 @@ _VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
 class ListAssignment:
     """A k-assignment: every vertex 1..n owns a sorted list of k colors.
 
-    Colors are positive ints; lists are stored sorted and deduplicated,
-    and must all have exactly k entries.
+    Colors are positive ints, not bools; lists are stored sorted and
+    deduplicated, and must all have exactly k entries.
     """
 
     __slots__ = ("k", "lists")
@@ -76,8 +75,8 @@ class ListAssignment:
         for v, colors in lists.items():
             v = require_int(v, "list vertex", 1)
             try:
-                cs = tuple(sorted(set(map(operator.index, colors))))
-            except TypeError as exc:
+                cs = tuple(sorted(set(require_ints(colors, "colors"))))
+            except (TypeError, InputError) as exc:  # not iterable, or a non-int or bool color
                 raise InputError(f"vertex {v} has a non-integer color") from exc
             if len(cs) != k:
                 raise InputError(
@@ -258,7 +257,7 @@ def count_L_colorings_expansion(
     color_masks = _color_masks(L)
     common = {emask: _common_count(color_masks, emask) for emask in vmasks}  # block -> count
     members = nb_subsets(H, eta=eta, avoid=[i + 1 for i, e in enumerate(vmasks) if not common[e]])
-    powers = [L.k**i for i in range(H.n + 1)]  # factor k per isolated vertex
+    powers: dict[int, int] = {}  # isolated vertices -> k to that power, for the counts met
     stack: list[tuple[int, list[int] | None, int]] = [(0, [], 0)]  # nested members, innermost last
     total = 0
     for A in members:
@@ -271,7 +270,10 @@ def count_L_colorings_expansion(
         for i in _set_bits(amask ^ mask):
             blocks = _add_block(blocks, vmasks[i])
             covered |= vmasks[i]
-        term = powers[H.n - covered.bit_count()]
+        isolated = H.n - covered.bit_count()
+        term = powers.get(isolated)
+        if term is None:
+            term = powers[isolated] = L.k**isolated
         for block in blocks:
             count = common.get(block)
             if count is None:

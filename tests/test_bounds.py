@@ -138,6 +138,38 @@ class TestCorUniform:
             cor_uniform_rhs(3, 2, 3, mode="parabolic")
 
 
+class TestExactRationalsRefuseNonIntegers:
+    def test_non_integer_or_boolean_arguments(self):
+        # each was a raw TypeError from Fraction or a comparison, or -7 for k = True
+        for call in (
+            lambda: cor_uniform_rhs_exact(5, 2, 2.5),
+            lambda: cor_uniform_rhs_exact(5, "2", 2),
+            lambda: cor_uniform_rhs_exact(5, 2, True),
+            lambda: cor_uniform_rhs_exact(True, 2, 2),
+            lambda: cor_uniform_rhs_exact(5.0, 2, 2),
+            lambda: cor_linear_rhs_exact(5.0, 3, 2),
+            lambda: cor_linear_rhs_exact(5, 3.0, 2),
+            lambda: cor_linear_rhs_exact(5, 3, False),
+            lambda: cor_linear_rhs(5, 3, 2.5),
+        ):
+            with pytest.raises(InputError, match="must be an integer"):
+                call()
+
+    def test_integer_refusals_keep_their_messages(self):
+        for call, message in (
+            (lambda: cor_uniform_rhs_exact(1, 2, 3), "m must be >= 2, got 1"),
+            (lambda: cor_uniform_rhs_exact(3, 2, 0), "k must be >= 1, got 0"),
+            (lambda: cor_uniform_rhs_exact(3, 0, 3), "rho must be >= 1, got 0"),
+            (lambda: cor_linear_rhs_exact(3, 2, 3), "r must be >= 3, got 2"),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
+
+    def test_float_k_stays_in_the_mpmath_modes(self):
+        assert cor_uniform_rhs(9, 2, 2.5, "sinh") > cor_uniform_rhs(9, 2, 2.5, "phi")
+        assert cor_linear_rhs(9, 3, 2.5, "closed") < 1
+
+
 class TestCorLinear:
     def test_worked_value(self):
         assert cor_linear_rhs(2, 3, 2) == pytest.approx(0.75, abs=1e-12)
@@ -192,6 +224,12 @@ class TestThresholds:
                 threshold_thm2(bad)
         with pytest.raises(InputError):
             threshold_thm1(9, 0)
+        for bad in (None, "2", True, [2]):
+            with pytest.raises(InputError, match="rho must be a number"):
+                threshold_thm1(5, bad)
+        with pytest.raises(InputError, match="rho must be >= 1, got nan"):
+            threshold_thm1(5, math.nan)
+        assert threshold_thm1(9, 2.0) == threshold_thm1(9, 2)
         with pytest.raises(InputError):
             thm2_gap_factor(2)
         with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 """Chromatic polynomials against closed forms and brute-force counts."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,20 @@ class TestChromaticPolynomial:
         monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=1")
         with pytest.raises(BudgetExceededError):
             chromatic_polynomial(Hypergraph(5, [(1, 2, 3), (3, 4, 5)]))
+
+    def test_memory_does_not_grow_with_n(self):
+        # one 3-edge among 10^6 vertices: count rows sized by n held ~97 MiB
+        n = 10**6
+        tracemalloc.start()
+        try:
+            for edge in ((1, 2, 3), (n - 2, n - 1, n)):
+                p = chromatic_polynomial(Hypergraph(n, [edge]))
+                assert p.to_pairs() == [[n, 1], [n - 2, -1]]
+                assert p.eval(2) == 2**n - 2 ** (n - 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCountProperColorings:

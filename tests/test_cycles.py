@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -185,6 +186,19 @@ class TestCatalog:
 
     def test_catalog_cached_on_instance(self, tri):
         assert enumerate_delta_cycles(tri) is enumerate_delta_cycles(tri)
+
+    def test_catalog_memory_does_not_grow_with_n(self):
+        # a table of n edge masks held 8 MB here; only the covered vertices need one
+        n = 10**6
+        H = Hypergraph(n, [(1, 2, 3), (3, 4, 5), (5, 6, 1), (2, 4, 6)])
+        tracemalloc.start()
+        try:
+            catalog = enumerate_delta_cycles(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [cyc.labels for cyc in catalog.cycles] == [(1, 2, 3, 4)]
+        assert peak < 2**20
 
     def test_fig1_catalogs(self, f1, h2, h3):
         assert len(enumerate_delta_cycles(f1).cycles) == 1

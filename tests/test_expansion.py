@@ -10,6 +10,7 @@ several edges share no color, and check it against brute force too.
 """
 
 import random
+import tracemalloc
 
 from hyperchrom import (
     Hypergraph,
@@ -191,3 +192,18 @@ def test_merged_blocks_that_die_prune_their_supersets(monkeypatch):
         assert folds <= len(members) - 1
         cases += folds < len(members) - 1
     assert cases > 30
+
+
+def test_memory_does_not_grow_with_n():
+    # one 3-edge among 20,000 vertices at k = 2: a table of every power k^0..k^n held ~26 MB
+    n = 20_000
+    H = Hypergraph(n, [(1, 2, 3)])
+    L = ListAssignment.from_constant(n, 2)
+    tracemalloc.start()
+    try:
+        count = count_L_colorings_expansion(H, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2**n - 2 ** (n - 2)
+    assert peak < 2**20

@@ -65,6 +65,14 @@ class TestListAssignment:
                 ListAssignment.from_json(text)
         assert ListAssignment(np.int64(2), {1: [np.int64(1), 2]}).lists == {1: (1, 2)}
 
+    def test_boolean_color_refused(self):
+        # operator.index reads True as color 1, which would be counted
+        for colors in ([True, 2], [1, False]):
+            with pytest.raises(InputError, match="vertex 1 has a non-integer color"):
+                ListAssignment(2, {1: colors, 2: [1, 2], 3: [1, 2]})
+        with pytest.raises(InputError, match="needs integers, not booleans"):
+            ListAssignment.from_json('{"k":2,"lists":{"1":[true,2],"2":[1,2]}}')
+
     def test_non_integer_vertex_key_refused(self):
         # int() would key vertex 2
         with pytest.raises(InputError, match="list vertex must be an integer"):
