@@ -12,7 +12,8 @@ from per-state option lists, in depth-first lexicographic order.  For the
 scan, ``_partitions`` makes each row a restricted growth string, a set
 partition of the vertices into at most num_colors blocks, that counts for
 the (num_colors)_j omit patterns (j its block count) that rename to it;
-for the exact search a row holds each vertex's list as 63-bit mask words.
+for the exact search a row is the least assignment of its orbit, each
+vertex's list held as 63-bit mask words, and every orbit has one row.
 The brute-force coloring count is not a kernel here: it runs on
 bit-sliced Python ints in ``chromatic.py``, and the walk over NB(H) on
 Python ints in ``cycles.py``.

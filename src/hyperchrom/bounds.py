@@ -38,7 +38,7 @@ from . import budget, hypercore
 from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
 from .errors import BudgetExceededError, InputError, require_int
-from .hypercore import Hypergraph, _set_bits
+from .hypercore import Hypergraph, _covered_count, _set_bits
 from .listcolor import ListAssignment, _exact_caps, _partition_terms, alpha, list_color_function_exact
 
 __all__ = [
@@ -151,27 +151,34 @@ def prop1_rhs(
     return sum(a * c for a, c in zip(profile.per_edge, _edge_margins(H, r, L.k, eta)) if a)
 
 
-def _even_edge_table(H: Hypergraph, eta) -> list[list[int]]:
-    """table[e][c]: members A of NB(H) with edge index e in A, |A| even, c(A) = c.
+def _even_edge_table(H: Hypergraph, eta) -> tuple[int, list[list[int]]]:
+    """(base, table), table[e][c - base]: members A of NB(H) with edge index
+    e in A, |A| even, c(A) = c.
 
-    It does not depend on any list assignment, so it is cached on H per
-    edge labelling, next to the catalog and the walk's index of minimal
-    broken sets by second-highest edge.
+    c(A) lies in base..n, base = n - ``_covered_count(H)``, so a row holds
+    one count per covered vertex and one more, not n + 1.  The table does
+    not depend on any list assignment, so it is cached on H per edge
+    labelling, next to the catalog and the walk's index of minimal broken
+    sets by second-highest edge.
     """
     key = ("even", normalize_eta(H, eta))
     if key not in H._cache:
-        table = [[0] * (H.n + 1) for _ in range(H.m)]
+        covered = _covered_count(H)
+        base = H.n - covered
+        table = [[0] * (covered + 1) for _ in range(H.m)]
         for mask, size, comps, _blocks in _nb_walk(H, key[1]):
             if not size & 1:
                 for e in _set_bits(mask):
-                    table[e][comps] += 1
-        H._cache[key] = table
+                    table[e][comps - base] += 1
+        H._cache[key] = base, table
     return H._cache[key]
 
 
-def _even_weights(table: list[list[int]], k: int) -> list[int]:
-    """Per edge, the sum of k^(c(A)-1) over the even-size members A holding it."""
-    return [sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in table]
+def _even_weights(even: tuple[int, list[list[int]]], k: int) -> list[int]:
+    """Per edge, the sum of k^(c(A)-1) over the even-size members A holding
+    it, from ``_even_edge_table``'s (base, table)."""
+    base, table = even
+    return [sum(cnt * k ** (base + i - 1) for i, cnt in enumerate(row) if cnt) for row in table]
 
 
 def _edge_margins(H: Hypergraph, r: int, k: int, eta) -> list[int]:

@@ -19,7 +19,7 @@ from itertools import product
 from . import budget
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog
 from .errors import InputError, require_int
-from .hypercore import Hypergraph, require_valid
+from .hypercore import Hypergraph, _covered_count, require_valid
 
 __all__ = [
     "IntPolynomial",
@@ -126,12 +126,9 @@ def chromatic_polynomial(
     budget.check_cap("nb_edges", H.m, "broken delta-cycle expansion")
     require_valid(H)
     _require_own_catalog(H, catalog)
-    covered = 0
-    for vmask in H.edge_vertex_masks():
-        covered |= vmask
-    # every member leaves the vertices in no edge isolated, so its component
-    # count c lies in base..n; row 0 counts even sizes by c - base, row 1 odd ones
-    width = covered.bit_count() + 1
+    # a member's component count c lies in base..n; row 0 counts even sizes
+    # by c - base, row 1 odd ones
+    width = _covered_count(H) + 1
     base = H.n + 1 - width
     counts = [[0] * width, [0] * width]
     for _mask, size, comps, _blocks in _nb_walk(H, eta):

@@ -70,27 +70,34 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     poly = chromatic_polynomial(H, eta=eta)
-    rc = 0
-    record: dict = {"poly": poly.to_pairs(), "text": str(poly)}
-    lines = [str(poly)]
-    if args.k is not None:
-        value = poly.eval(args.k)
-        record["k"] = args.k
-        record["eval"] = value
-        if args.oracle:
-            brute = count_proper_colorings(H, args.k)
-            record["oracle"] = brute
-            if brute == value:
-                lines.append(f"{value} (oracle agrees)")
+    # P(H, k) may pass CPython's 4,300-digit int-to-str limit; lift it only
+    # while the answer is written, so the JSON readers keep refusing such ints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rc = 0
+        record: dict = {"poly": poly.to_pairs(), "text": str(poly)}
+        lines = [str(poly)]
+        if args.k is not None:
+            value = poly.eval(args.k)
+            record["k"] = args.k
+            record["eval"] = value
+            if args.oracle:
+                brute = count_proper_colorings(H, args.k)
+                record["oracle"] = brute
+                if brute == value:
+                    lines.append(f"{value} (oracle agrees)")
+                else:
+                    lines.append(f"{value} (oracle disagrees: brute force counts {brute})")
+                    rc = 1
             else:
-                lines.append(f"{value} (oracle disagrees: brute force counts {brute})")
-                rc = 1
+                lines.append(str(value))
+        if args.json:
+            print(json.dumps(record, sort_keys=True))
         else:
-            lines.append(str(value))
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print("\n".join(lines))
+            print("\n".join(lines))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return rc
 
 

@@ -30,7 +30,7 @@ from mpmath import mp, mpf
 
 from ._kernels import np
 from .bounds import C_THM2, STRICT_SLACK, BoundReport, cor_linear_rhs_exact, cor_uniform_rhs_exact
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "C_THM3",
@@ -91,12 +91,12 @@ def _psi_x(x, c, exp):
 
 
 def _check_mrk(m, k) -> int:
-    """M = m - 1, refusing m < 2 and k < 1; k may be any real number here."""
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+    """M = m - 1, refusing m unless an integer >= 2, and k < 1; k may be any
+    real number here."""
+    M = require_int(m, "m", 2) - 1
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return m - 1
+    return M
 
 
 def _mpf_of(frac) -> mpf:
@@ -116,8 +116,7 @@ def cor_uniform_rhs(m: int, rho: int, k: int, mode: str = "binomial") -> mpf:
       phi       1 - k^(1-rho) * exp((m-1)/k) / 2
     """
     M = _check_mrk(m, k)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
+    rho = require_int(rho, "rho", 1)
     if mode == "binomial":
         return _mpf_of(cor_uniform_rhs_exact(m, rho, k))
     with mp.workdps(_DPS):
@@ -142,8 +141,7 @@ def cor_linear_rhs(m: int, r: int, k: int, mode: str = "binomial") -> mpf:
     1 - (x/(m-1)) * sinh(x) with x = (m-1)/k.
     """
     M = _check_mrk(m, k)
-    if r < 3:
-        raise InputError(f"r must be >= 3, got {r}")
+    r = require_int(r, "r", 3)
     if mode == "binomial":
         return _mpf_of(cor_linear_rhs_exact(m, r, k))
     if mode == "closed":

@@ -267,6 +267,16 @@ def components(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> int:
     return H.n + len(blocks) - covered.bit_count()
 
 
+def _covered_count(H: Hypergraph) -> int:
+    """How many vertices some edge holds.  Every edge subset leaves the
+    others isolated, so its component count lies in n - this..n, and count
+    tables indexed by component count need this many entries and one more."""
+    covered = 0
+    for vmask in H.edge_vertex_masks():
+        covered |= vmask
+    return covered.bit_count()
+
+
 def _subset_blocks(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> tuple[list[int], int]:
     """The components of H<A> that hold an edge, and the vertices they cover.
 

@@ -23,7 +23,8 @@ stops the fold for every member that contains it.  The
 exact list-color function takes a
 third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
-batches of assignments from those terms with ``_kernels.list_counts``.
+batches of assignments, one per orbit of the color renamings, from those
+terms with ``_kernels.list_counts``.
 ``_kernels``, and with it numpy, is imported only when the exact
 list-color function runs, so loading this module or counting by brute
 force loads no numpy.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
@@ -317,16 +317,19 @@ def _partition_terms(H: Hypergraph, k: int) -> list[tuple[int, list[tuple[int, .
 
 
 def _option_total(n: int, k: int) -> int:
-    """How many lists ``_assignment_options(n, k)`` builds: a list takes f
-    fresh colors and k - f used ones, so options[used] holds the sum over f
-    of C(used, k - f)."""
+    """The option total of the walk that renames colors by first appearance
+    alone, one state per count of used colors: a list takes f fresh colors
+    and k - f used ones, so a state has the sum over f of C(used, k - f).
+    ``_exact_caps`` refuses by this closed form, so that its refusals do not
+    depend on the orbit table."""
     return sum(comb(used, k - f) for used in range((n - 1) * k + 1) for f in range(k + 1))
 
 
 def _exact_caps(n: int, k: int) -> None:
-    """Refuse where ``list_color_function_exact(H, k)`` refuses, before any of
-    its work: the exact_plk cap on n*k, the brute_force cap on k^n and,
-    where the search runs, on its option lists."""
+    """Refuse by closed forms where ``list_color_function_exact(H, k)``
+    refuses, before any of its work: the exact_plk cap on n*k, the
+    brute_force cap on k^n and, where the search runs, on ``_option_total``.
+    ``_assignment_options`` then checks the brute_force cap on its table."""
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
@@ -334,35 +337,113 @@ def _exact_caps(n: int, k: int) -> None:
         budget.check_cap("brute_force", _option_total(n, k), "exact list-color option lists")
 
 
-def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Per count of colors used so far, the lists a vertex may take next.
+def _class_moves(state: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lists a vertex may take in ``state``, as (colors, next state), sorted by colors.
 
-    P(H, L) only depends on L through which lists share which colors, so
-    colors may be renamed freely.  Renaming by first appearance turns any
-    assignment into one where vertex 1 holds {1..k} and each later vertex
-    picks its colors from those already used plus a consecutive block of
-    fresh ones.  Every assignment has at least one such form, and every
-    such form is a valid assignment, which is all a minimization needs.
-    options[used] lists, in lexicographic order of the k-subsets, (the
-    subset as mask words, colors used after it) for ``_kernels._orbit_rows``,
-    whose walk then starts from the constant assignment {1..k}^n.  Color c
-    is bit (c - 1) % 63 of word (c - 1) // 63, so every word fits in int64.
-    Their total, ``_option_total``, is checked against the brute_force cap
-    before any list is built.
+    ``state`` gives the sizes of the classes of the used colors in color
+    order: a class is a run of consecutive colors that the earlier vertices
+    hold alike.  A list takes t_i colors of class i, its lowest ones, plus
+    the next k - sum(t_i) fresh colors, and splits class i into the t_i it
+    took and the rest; its fresh colors form one more class.
     """
-    budget.check_cap("brute_force", _option_total(n, k), "exact list-color option lists")
-    words = -(-n * k // _WORD)
-    options = []
-    for used in range((n - 1) * k + 1):
-        opts = []
-        for s in combinations(range(1, used + k + 1), k):
-            if s[-1] - used <= sum(a > used for a in s):
+    used = sum(state)
+    moves = []
+
+    def take(i, first, left, colors, classes):
+        if i == len(state):
+            fresh = tuple(range(used + 1, used + left + 1))
+            moves.append((colors + fresh, classes + (left,) if left else classes))
+            return
+        size = state[i]
+        for t in range(min(size, left) + 1):
+            split = (t, size - t) if t and t < size else (size,)
+            take(i + 1, first + size, left - t, colors + tuple(range(first, first + t)), classes + split)
+
+    take(0, 1, k, (), ())
+    moves.sort()
+    return moves
+
+
+def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """The states of the first n vertices' walk, breadth first, and its option total.
+
+    Returns (total, states, ids): ``states`` those met by the first n - 1
+    vertices, whose options the walk reads, and ``ids`` every state met,
+    the last vertex's included, numbered in the order met, so states[i]
+    has number i.  The count stops at the first state that takes the
+    total past ``cap``, so no more than a cap's worth of work is spent on
+    a table that will be refused, and such a total is a lower bound.
+    """
+    ids = {(): 0}
+    level = [()]
+    total = 0
+    for _ in range(n):
+        reached = []
+        for state in level:
+            moves = _class_moves(state, k)
+            total += len(moves)
+            if total > cap:
+                return total, [], ids
+            for _colors, nxt in moves:
+                if nxt not in ids:
+                    ids[nxt] = len(ids)
+                    reached.append(nxt)
+        level = reached
+    return total, list(ids)[: len(ids) - len(level)], ids
+
+
+_TABLES = 8  # option tables kept, one per (n, k), the least recently used dropped first
+_tables: dict[tuple[int, int], tuple[int, list]] = {}  # (n, k) -> (option total, options)
+
+
+def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per state of the orbit walk, the lists a vertex may take next.
+
+    P(H, L) only depends on L through which vertices share which colors,
+    so colors may be renamed freely, and the search needs one assignment
+    per orbit of the renamings: the lexicographically least, with vertex 1
+    holding {1..k}.  After some vertices, the renamings that fix their
+    lists permute each class of colors that those vertices hold alike, so
+    the least assignment gives the next vertex the least list of its class
+    pattern: the lowest t_i colors of each class and a block of fresh ones
+    (``_class_moves``).  A state is the sizes of the classes, in color
+    order, and each state's options come in lexicographic order of their
+    lists, so ``_kernels._orbit_rows`` yields exactly the least member of
+    every orbit, once each, in lexicographic order; the walk starts from
+    the constant assignment {1..k}^n.  options[state] lists (the list as
+    mask words, next state): color c is bit (c - 1) % 63 of word
+    (c - 1) // 63, so every word fits in int64.
+
+    The table depends only on (n, k), and the last ``_TABLES`` used are
+    kept.  Every call checks the brute_force cap on the table's option
+    total first, a kept table's included; a new table is counted, with no
+    list built, before it is built, and a refusal then reports the count
+    at which it passed the cap, a lower bound on the total.
+    """
+    cap = budget.get_cap("brute_force")
+    what = "exact list-color orbit table"
+    kept = _tables.get((n, k))
+    if kept is not None:
+        budget.check_cap("brute_force", kept[0], what)
+        del _tables[n, k]
+    else:
+        total, states, ids = _orbit_states(n, k, cap)
+        budget.check_cap("brute_force", total, f"{what}, counted until it passed the cap,")
+        words = -(-n * k // _WORD)
+        options = []
+        for state in states:
+            opts = []
+            for colors, nxt in _class_moves(state, k):
                 row = [0] * words
-                for c in s:
+                for c in colors:
                     row[(c - 1) // _WORD] |= 1 << (c - 1) % _WORD
-                opts.append((tuple(row), max(used, s[-1])))
-        options.append(opts)
-    return options
+                opts.append((tuple(row), ids[nxt]))
+            options.append(opts)
+        kept = total, options
+        if len(_tables) >= _TABLES:
+            del _tables[next(iter(_tables))]
+    _tables[n, k] = kept  # most recently used last
+    return kept[1]
 
 
 def _mask_colors(row) -> list[int]:
@@ -373,18 +454,23 @@ def _mask_colors(row) -> list[int]:
 def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignment]:
     """P_l(H, k) with a minimizing assignment, by exhausting assignments.
 
-    Scans one representative per color-renaming class (vertex 1 pinned
-    to {1..k}, fresh colors consecutive), so the search space is finite
-    even though color names are not.  Each table of at most
+    Scans one assignment per orbit of the color renamings, its
+    lexicographically least member, in lexicographic order
+    (``_assignment_options``), so the search space is finite even though
+    color names are not.  Each table of at most
     max(``_kernels._ROWS``, longest option list) assignments is counted by
     ``_kernels.list_counts`` from the partition terms of H, formed once.
-    Ties break to the first representative in scan order; the constant
-    assignment is scanned first, so a constant witness is reported whenever
-    one attains the minimum.  At k = 1 the constant assignment colors every
-    edge alike, so it attains the minimum (0, or 1 with no edges), and the
-    answer is returned without the terms, whose states can number Bell(n)
-    there (n <= 12 at the default caps).  Guarded by the exact_plk cap on
-    n*k and the brute_force cap on k^n, which keeps every P(H, L) below 2^63.
+    Ties break to the first assignment in scan order, which is also the
+    first minimum among all assignments by first appearance (vertex 1
+    pinned to {1..k}, fresh colors consecutive), since every member of an
+    orbit has the same count; the constant assignment is scanned first, so
+    a constant witness is reported whenever one attains the minimum.  At
+    k = 1 the constant assignment colors every edge alike, so it attains
+    the minimum (0, or 1 with no edges), and the answer is returned without
+    the terms, whose states can number Bell(n) there (n <= 12 at the
+    default caps).  Guarded by the exact_plk cap on
+    n*k and the brute_force cap on k^n, which keeps every P(H, L) below 2^63,
+    and on the option counts (``_exact_caps``, ``_assignment_options``).
     """
     k = require_int(k, "k", 1)
     n = H.n

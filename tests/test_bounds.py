@@ -1,6 +1,7 @@
 """Bound formulas, proof-stage functions, grids, and theorem certification."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,24 @@ class TestProp1:
             prop1_rhs(FANO5, ListAssignment.from_constant(7, 2))
         assert (exc.value.cap_name, exc.value.required) == ("nb_edges", 5)
 
+    def test_memory_does_not_grow_with_n(self):
+        # four 3-edges among 10^5 vertices: even-member rows sized by n held 3.2 MiB;
+        # the n - 8 extra isolated vertices scale every margin by 2^(n - 8)
+        n, edges = 10**5, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1)]
+        small = bounds._edge_margins(Hypergraph(8, edges), 3, 2, None)
+        lists = {v: (2, 3) if v == 2 else (1, 2) for v in range(1, n + 1)}
+        want = prop1_rhs(Hypergraph(8, edges), ListAssignment(2, {v: lists[v] for v in range(1, 9)}))
+        H, L = Hypergraph(n, edges), ListAssignment(2, lists)
+        tracemalloc.start()
+        try:
+            got = prop1_rhs(H, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20  # about 0.8 MiB of it the lists' color masks
+        assert got == want * 2 ** (n - 8) and want
+        assert bounds._edge_margins(H, 3, 2, None) == [c * 2 ** (n - 8) for c in small]
+
 
 class TestCorUniform:
     def test_worked_value(self):
@@ -168,6 +187,20 @@ class TestExactRationalsRefuseNonIntegers:
     def test_float_k_stays_in_the_mpmath_modes(self):
         assert cor_uniform_rhs(9, 2, 2.5, "sinh") > cor_uniform_rhs(9, 2, 2.5, "phi")
         assert cor_linear_rhs(9, 3, 2.5, "closed") < 1
+
+    def test_mpmath_modes_refuse_non_integer_m_rho_and_r(self):
+        # each returned a value: rho = True read as 1, m = 5.5 as a fractional edge count
+        for mode in ("sinh", "phi"):
+            for m, rho in ((5, True), (5.5, 2), (True, 2), (5, 2.0), (5, "2")):
+                with pytest.raises(InputError, match="must be an integer"):
+                    cor_uniform_rhs(m, rho, 3, mode)
+            with pytest.raises(InputError, match="rho must be >= 1, got 0"):
+                cor_uniform_rhs(3, 0, 3, mode)
+        for m, r in ((5, True), (5.5, 3), (5, 3.5), (False, 3)):
+            with pytest.raises(InputError, match="must be an integer"):
+                cor_linear_rhs(m, r, 3, "closed")
+        with pytest.raises(InputError, match="r must be >= 3, got 2"):
+            cor_linear_rhs(3, 2, 3, "closed")
 
 
 class TestCorLinear:

@@ -85,6 +85,29 @@ class TestChromatic:
         assert record["poly"][0] == [5, 1]
 
 
+    def test_value_past_the_int_str_limit(self, tmp_path, capsys):
+        # P(H, 2) has 6,021 digits, past CPython's 4,300-digit limit for int to str
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 20000, "edges": [[1, 2, 3]]}')
+        poly = {"poly": [[20000, 1], [19998, -1]], "text": "k^20000 - k^19998"}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = str(2**20000 - 2**19998)
+            record = json.dumps({**poly, "eval": 2**20000 - 2**19998, "k": 2}, sort_keys=True)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out = run_cli("chromatic", str(path), "--k", "2")
+        assert (out.returncode, out.stdout, out.stderr) == (0, f"k^20000 - k^19998\n{value}\n", "")
+        assert cli.main(["chromatic", str(path), "--k", "2", "--json"]) == 0
+        assert capsys.readouterr() == (record + "\n", "")
+        # the limit is back, so the readers still refuse such an integer
+        assert sys.get_int_max_str_digits() == limit
+        path.write_text('{"n": ' + value + ', "edges": [[1, 2, 3]]}')
+        out = run_cli("chromatic", str(path), "--k", "2")
+        assert out.returncode == 2 and "digits" in out.stderr
+
+
 class TestDeltaCycles:
     def test_triangle(self, files):
         out = run_cli("delta-cycles", files["tri.json"])

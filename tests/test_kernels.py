@@ -273,8 +273,9 @@ def test_partitions():
 
 
 def test_orbit_rows_bound():
-    # the exact search's walk keeps every table within max(limit, longest option list)
-    for n, k, total in ((12, 1, 4213597), (6, 2, 97191)):
+    # the exact search walks one row per orbit (Bell(12) at k = 1), every
+    # table within max(limit, longest option list)
+    for n, k, total in ((12, 1, 4213597), (6, 2, 29388)):
         options = listcolor._assignment_options(n, k)
         bound = max(7, max(len(opts) for opts in options))
         sizes = [len(rows) for rows, _ in _kernels._orbit_rows(n, options, 7)]
@@ -320,7 +321,7 @@ class TestScanWidth:
 
     def test_per_edge_sum_past_int64_refused(self, e2, monkeypatch):
         # alpha_e <= 2 and two edges with k^(n-r) - w_e near -2^62: the sum could reach 2^63
-        monkeypatch.setattr(bounds, "_even_weights", lambda table, k: [2**62] * len(table))
+        monkeypatch.setattr(bounds, "_even_weights", lambda even, k: [2**62] * len(even[1]))
         with pytest.raises(InputError):
             scan_assignments_one_extra_color(e2, 2)
 

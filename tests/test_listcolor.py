@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from canonical import canonical_assignments
+from canonical import canonical_assignments, orbit_leaders
 
 from hyperchrom import (
     BudgetExceededError,
@@ -230,22 +230,18 @@ class TestListColorFunction:
             assert list(canonical_assignments(n, k)) == want, (n, k)
 
     def test_assignment_rows_match_canonical_generator(self):
-        # the same rows in the same order, so the first minimum is the same witness
-        for n, k in [(n, k) for n in range(1, 13) for k in range(1, 12 // n + 1)]:
+        # the first row of each orbit, once, in the same order, so the first minimum is the same witness
+        # (11, 1) and (12, 1) hold 0.7 and 4.2 million orbits, too many to key
+        # here; test_orbit_rows_bound walks (12, 1) at 7
+        for n, k in [(n, k) for n in range(1, 11) for k in range(1, 12 // n + 1)]:
+            want = list(orbit_leaders(n, k))
+            # n * k <= 12: each list is one word, color c at bit c - 1
+            masks = np.bitwise_or.reduce(np.left_shift(1, np.array(want) - 1), axis=2)
             options = listcolor._assignment_options(n, k)
-            # (11, 1) and (12, 1) hold 0.7 and 4.2 million rows, too many to
-            # walk a few at a time here; test_orbit_rows_bound walks (12, 1) at 7
-            for limit in (1, 7, _kernels._ROWS) if n < 11 else (_kernels._ROWS,):
-                want = canonical_assignments(n, k)
-                for rows, _ in _kernels._orbit_rows(n, options, limit):
-                    batch = itertools.islice(want, len(rows))
-                    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
-                    expected = np.fromiter(flat, dtype=np.int64, count=rows.size * k)
-                    # n * k <= 12: each list is one word, color c at bit c - 1
-                    masks = np.bitwise_or.reduce(np.left_shift(1, expected - 1).reshape(-1, k), axis=1)
-                    assert rows.shape[1:] == (n, 1), (n, k, limit)
-                    assert np.array_equal(rows.ravel(), masks), (n, k, limit)
-                assert next(want, None) is None, (n, k, limit)
+            for limit in (1, 7, _kernels._ROWS):
+                rows = np.concatenate([rows for rows, _ in _kernels._orbit_rows(n, options, limit)])
+                assert rows.shape == (len(want), n, 1), (n, k, limit)
+                assert np.array_equal(rows[:, :, 0], masks), (n, k, limit)
 
     def test_budget_refusal(self, e2):
         # n * k = 15 exceeds the default exact cap of 12
@@ -254,15 +250,41 @@ class TestListColorFunction:
         assert exc.value.cap_name == "exact_plk"
 
     def test_option_count_matches_built_lists(self, monkeypatch):
-        # the closed-form count is exact: a cap at it builds, one below refuses
+        # the count is exact: a cap at it builds, one below refuses, whether
+        # the table is counted afresh or kept from an earlier call
         for n, k in ((2, 2), (3, 2), (4, 3), (2, 6), (6, 2), (12, 1)):
             monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
             built = sum(map(len, listcolor._assignment_options(n, k)))
-            monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built}")
-            assert sum(map(len, listcolor._assignment_options(n, k))) == built
-            monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built - 1}")
-            with pytest.raises(BudgetExceededError, match=f"needs {built} but cap brute_force={built - 1}"):
-                listcolor._assignment_options(n, k)
+            assert listcolor._orbit_states(n, k, built)[0] == built
+            for kept in (True, False):
+                if not kept:
+                    monkeypatch.setattr(listcolor, "_tables", {})
+                monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built - 1}")
+                with pytest.raises(BudgetExceededError, match=f"needs {built} but cap brute_force={built - 1}"):
+                    listcolor._assignment_options(n, k)
+                monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built}")
+                assert sum(map(len, listcolor._assignment_options(n, k))) == built
+
+    def test_kept_table_refused_under_a_lowered_cap(self, monkeypatch, e2):
+        monkeypatch.setattr(listcolor, "_tables", {})
+        value = list_color_function_exact(e2, 2)
+        total = listcolor._tables[5, 2][0]
+        # k^n = 32 and the closed-form option count pass this cap; the kept table's 303 options do not
+        assert (total, listcolor._option_total(5, 2)) == (303, 129)
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "brute_force=302")
+        with pytest.raises(BudgetExceededError, match="orbit table needs 303 but cap brute_force=302"):
+            list_color_function_exact(e2, 2)
+        monkeypatch.delenv("HYPERCHROM_BUDGET")
+        assert list_color_function_exact(e2, 2) == value
+
+    def test_tables_kept_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(listcolor, "_tables", {})
+        pairs = [(n, 1) for n in range(1, listcolor._TABLES + 3)]
+        for n, k in pairs:
+            listcolor._assignment_options(n, k)
+        listcolor._assignment_options(3, 1)  # used again, so kept past the next one
+        listcolor._assignment_options(2, 2)
+        assert list(listcolor._tables) == [*pairs[4:], (3, 1), (2, 2)]
 
     def test_option_lists_refused_before_building(self, monkeypatch, e1):
         # k = 40: the last vertex alone would scan C(120, 40) subsets before any row

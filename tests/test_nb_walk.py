@@ -77,7 +77,9 @@ def _check_walk(H, eta, k=2):
                     even[e][comps] += 1
     poly = IntPolynomial(signed)
     assert chromatic_polynomial(H, eta=eta) == poly
-    assert bounds._even_edge_table(H, eta) == even
+    base = H.n - len({v for edge in H.edges for v in edge})
+    assert all(not any(row[:base]) for row in even)
+    assert bounds._even_edge_table(H, eta) == (base, [row[base:] for row in even])
 
     walked = sorted(
         (mask, size, comps, tuple(sorted(tuple(_set_bits(b)) for b in blocks)))
@@ -89,7 +91,7 @@ def _check_walk(H, eta, k=2):
         assert len(partition) == comps
         want.append((mask, size, comps, tuple(sorted(part for part in partition if len(part) > 1))))
     assert walked == want
-    assert bounds._even_weights(even, k) == [
+    assert bounds._even_weights((base, [row[base:] for row in even]), k) == [
         sum(cnt * k ** (c - 1) for c, cnt in enumerate(row) if cnt) for row in even
     ]
 
