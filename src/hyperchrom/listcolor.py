@@ -393,10 +393,11 @@ def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]],
 
 
 _TABLES = 8  # option tables kept, one per (n, k), the least recently used dropped first
-_tables: dict[tuple[int, int], tuple[int, list]] = {}  # (n, k) -> (option total, options)
+_Options = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+_tables: dict[tuple[int, int], tuple[int, _Options]] = {}  # (n, k) -> (option total, options)
 
 
-def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+def _assignment_options(n: int, k: int) -> _Options:
     """Per state of the orbit walk, the lists a vertex may take next.
 
     P(H, L) only depends on L through which vertices share which colors,
@@ -438,8 +439,8 @@ def _assignment_options(n: int, k: int) -> list[list[tuple[tuple[int, ...], int]
                 for c in colors:
                     row[(c - 1) // _WORD] |= 1 << (c - 1) % _WORD
                 opts.append((tuple(row), ids[nxt]))
-            options.append(opts)
-        kept = total, options
+            options.append(tuple(opts))
+        kept = total, tuple(options)  # shared by every caller, so immutable
         if len(_tables) >= _TABLES:
             del _tables[next(iter(_tables))]
     _tables[n, k] = kept  # most recently used last

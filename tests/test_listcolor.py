@@ -230,9 +230,9 @@ class TestListColorFunction:
             assert list(canonical_assignments(n, k)) == want, (n, k)
 
     def test_assignment_rows_match_canonical_generator(self):
-        # the first row of each orbit, once, in the same order, so the first minimum is the same witness
-        # (11, 1) and (12, 1) hold 0.7 and 4.2 million orbits, too many to key
-        # here; test_orbit_rows_bound walks (12, 1) at 7
+        # the first row of each orbit, once, in the same order, so the first
+        # minimum is the same witness; (11, 1) and (12, 1) hold 0.7 and 4.2
+        # million orbits, too many to key here; test_orbit_rows_bound walks (12, 1) at 7
         for n, k in [(n, k) for n in range(1, 11) for k in range(1, 12 // n + 1)]:
             want = list(orbit_leaders(n, k))
             # n * k <= 12: each list is one word, color c at bit c - 1
