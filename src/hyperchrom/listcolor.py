@@ -421,14 +421,13 @@ def _assignment_options(n: int, k: int) -> _Options:
     list built, before it is built, and a refusal then reports the count
     at which it passed the cap, a lower bound on the total.
     """
-    cap = budget.get_cap("brute_force")
     what = "exact list-color orbit table"
     kept = _tables.get((n, k))
     if kept is not None:
         budget.check_cap("brute_force", kept[0], what)
         del _tables[n, k]
     else:
-        total, states, ids = _orbit_states(n, k, cap)
+        total, states, ids = _orbit_states(n, k, budget.get_cap("brute_force"))
         budget.check_cap("brute_force", total, f"{what}, counted until it passed the cap,")
         words = -(-n * k // _WORD)
         options = []
