@@ -347,21 +347,21 @@ def _class_moves(state: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], 
     took and the rest; its fresh colors form one more class.
     """
     used = sum(state)
-    moves = []
-
-    def take(i, first, left, colors, classes):
-        if i == len(state):
-            fresh = tuple(range(used + 1, used + left + 1))
-            moves.append((colors + fresh, classes + (left,) if left else classes))
-            return
-        size = state[i]
-        for t in range(min(size, left) + 1):
-            split = (t, size - t) if t and t < size else (size,)
-            take(i + 1, first + size, left - t, colors + tuple(range(first, first + t)), classes + split)
-
-    take(0, 1, k, (), ())
-    moves.sort()
-    return moves
+    partial = [((), (), k)]  # per choice for the classes so far: (colors, classes, colors left)
+    first = 1
+    for size in state:
+        grown = []
+        for colors, classes, left in partial:
+            grown.append((colors, classes + (size,), left))
+            for t in range(1, min(size, left) + 1):
+                split = (t, size - t) if t < size else (size,)
+                grown.append((colors + tuple(range(first, first + t)), classes + split, left - t))
+        partial = grown
+        first += size
+    return sorted(
+        (colors + tuple(range(used + 1, used + left + 1)), classes + (left,) if left else classes)
+        for colors, classes, left in partial
+    )
 
 
 def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]]:
