@@ -8,12 +8,14 @@ its weight times, per block, the popcount of the AND of the block's masks.
 The assignment scan (``bounds.scan_assignments_one_extra_color``) and the
 exact list-color function both count with it, and both walk one row per
 color-renaming class: ``_orbit_rows`` grows the rows a vertex at a time
-from per-state option lists, in depth-first lexicographic order.  For the
-scan, ``_partitions`` makes each row a restricted growth string, a set
-partition of the vertices into at most num_colors blocks, that counts for
-the (num_colors)_j omit patterns (j its block count) that rename to it;
-for the exact search a row is the least assignment of its orbit, each
-vertex's list held as 63-bit mask words, and every orbit has one row.
+from a flat option table of three int64 arrays, in depth-first
+lexicographic order.  For the scan, ``_partitions`` builds a table whose
+rows are restricted growth strings, set partitions of the vertices into
+at most num_colors blocks, each counting for the (num_colors)_j omit
+patterns (j its block count) that rename to it; for the exact search,
+``listcolor._assignment_options`` keeps one table per (n, k), and a row is
+the least assignment of its orbit, each vertex's list held as 63-bit mask
+words, so every orbit has one row.
 The brute-force coloring count is not a kernel here: it runs on
 bit-sliced Python ints in ``chromatic.py``, and the walk over NB(H) on
 Python ints in ``cycles.py``.
@@ -59,26 +61,22 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _orbit_rows(n, options, limit):
-    """Every row of n values that options allow, in depth-first lexicographic order.
+def _orbit_rows(n, table, limit):
+    """Every row of n values that a flat option table allows, in depth-first lexicographic order.
 
-    options[state] lists (value tuple, next state) in order: vertex 0 starts
-    in state 0, and each vertex takes one value of its state and hands the
-    next state on.  Rows grow a vertex at a time, np.repeat copying each
-    parent once per option, so one parent's children stay together and in
-    option order.  Where a level would pass max(limit, longest option list)
-    rows, its parents split into contiguous ranges walked one after another,
-    so no table is larger.  Yields (rows, final states): rows int64 of shape
-    (count, n, value width), final states int64 of shape (count,).
+    table is (first, value, after), three int64 arrays: state s owns options
+    first[s] to first[s + 1] - 1, in order, and option i gives the vertex the
+    value words value[i] and hands state after[i] to the next vertex; vertex
+    0 starts in state 0.  Rows grow a vertex at a time, np.repeat copying
+    each parent once per option, so one parent's children stay together and
+    in option order.  Where a level would pass max(limit, longest option
+    list) rows, its parents split into contiguous ranges walked one after
+    another, so no table is larger.  Yields (rows, final states): rows int64
+    of shape (count, n, value width), final states int64 of shape (count,).
     """
-    size = np.array([len(opts) for opts in options], dtype=np.int64)
+    first, value, after = table
+    size = np.diff(first)
     bound = max(limit, int(size.max()))
-    width = len(options[0][0][0])
-    value = np.zeros((len(options), int(size.max()), width), dtype=np.int64)
-    after = np.zeros(value.shape[:2], dtype=np.int64)
-    for state, opts in enumerate(options):
-        value[state, : len(opts)] = [vals for vals, _ in opts]
-        after[state, : len(opts)] = [nxt for _, nxt in opts]
 
     def grow(v, rows, states):
         if v == n:
@@ -90,15 +88,15 @@ def _orbit_rows(n, options, limit):
         lo = 0
         while lo < states.size:
             hi = int(np.searchsorted(ends, starts[lo] + bound, side="right"))
-            parent = np.repeat(np.arange(lo, hi), count[lo:hi])
-            option = np.arange(parent.size) - np.repeat(starts[lo:hi] - starts[lo], count[lo:hi])
-            st = states[parent]
-            child = rows[parent]
-            child[:, v] = value[st, option]
-            yield from grow(v + 1, child, after[st, option])
+            # each child's option: its rank among its parent's children, past the state's first
+            shift = np.repeat(first[states[lo:hi]] - starts[lo:hi] + starts[lo], count[lo:hi])
+            option = np.arange(shift.size) + shift
+            child = rows[np.repeat(np.arange(lo, hi), count[lo:hi])]
+            child[:, v] = value[option]
+            yield from grow(v + 1, child, after[option])
             lo = hi
 
-    yield from grow(0, np.zeros((1, n, width), dtype=np.int64), np.zeros(1, dtype=np.int64))
+    yield from grow(0, np.zeros((1, n, value.shape[1]), dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 def _partitions(n, num_colors):
@@ -109,15 +107,16 @@ def _partitions(n, num_colors):
     (vertex v's block, numbered by first appearance), and weight (count,)
     the (num_colors)_j omit patterns whose colors rename to it, j its block
     count.  The weights stop at min(n, num_colors) blocks, so each is at
-    most num_colors^n.
+    most num_colors^n.  The walk's state is the number of blocks so far.
     """
     top = min(n, num_colors)
-    options = [[((d,), max(j, d + 1)) for d in range(min(j + 1, num_colors))] for j in range(top + 1)]
+    sizes = [min(j + 1, num_colors) for j in range(top + 1)]
+    moves = np.array([(d, max(j, d + 1)) for j in range(top + 1) for d in range(sizes[j])], dtype=np.int64)
     falling = [1]
     for j in range(top):
         falling.append(falling[-1] * (num_colors - j))
     weights = np.array(falling, dtype=np.int64)
-    for rows, blocks in _orbit_rows(n, options, _ROWS):
+    for rows, blocks in _orbit_rows(n, (np.cumsum([0, *sizes]), moves[:, :1], moves[:, 1]), _ROWS):
         yield rows[:, :, 0].T, weights[blocks]
 
 

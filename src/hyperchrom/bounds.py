@@ -279,6 +279,7 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     exact check would be reported as "fails".  An invalid H is refused.
     """
     hypercore.require_valid(H)
+    which = require_int(which, "which")
     if which not in (1, 2, 3):
         raise InputError(f"which must be 1, 2, or 3, got {which!r}")
     if effort not in ("auto", "threshold", "exact"):
@@ -385,6 +386,7 @@ def scan_assignments_one_extra_color(
     Returns counts, each pattern counted with multiplicity: checked,
     viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin
     (None when no pattern was checked or no gap was requested).  Refuses
+    a gap_factor that is not a real number >= 0 (a bool or NaN included),
     an invalid H, k > 62 on nonempty instances, and an instance whose
     per-edge bound could pass int64.
 
@@ -397,6 +399,10 @@ def scan_assignments_one_extra_color(
     at most r - 1, so refusing (r - 1) * sum |margin| >= 2^63 keeps it exact.
     """
     k = require_int(k, "k", 1)
+    if not isinstance(gap_factor, Real) or isinstance(gap_factor, bool):
+        raise InputError(f"gap_factor must be a number, got {gap_factor!r}")
+    if not gap_factor >= 0:  # NaN too
+        raise InputError(f"gap_factor must be >= 0, got {gap_factor}")
     hypercore.require_valid(H)
     out = {
         "checked": 0,

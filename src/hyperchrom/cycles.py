@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import budget
-from .errors import InputError, require_ints
+from .errors import InputError, require_int, require_ints
 from .hypercore import EdgeSubset, Hypergraph, _add_block, _edge_indices, require_valid
 
 __all__ = [
@@ -277,8 +277,12 @@ def nb_subsets(
     from H's own catalog, ``enumerate_delta_cycles(H)``.
     """
     m = H.m
-    if must_contain is not None and not 1 <= must_contain <= m:
-        raise InputError(f"must_contain label {must_contain} outside 1..{m}")
+    if must_contain is not None:
+        must_contain = require_int(must_contain, "must_contain label")
+        if not 1 <= must_contain <= m:
+            raise InputError(f"must_contain label {must_contain} outside 1..{m}")
+    if size is not None:
+        size = require_int(size, "size")
     skip = 0
     for label in require_ints(avoid, "avoid labels"):
         if not 1 <= label <= m:

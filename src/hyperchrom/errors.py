@@ -48,12 +48,13 @@ class GeneratorError(HyperchromError):
     """An instance generator could not satisfy its parameters."""
 
 
-def require_int(value, name: str, low: int) -> int:
+def require_int(value, name: str, low: int | None = None) -> int:
     """value as an int, or InputError unless it is an integer of at least low.
 
     ``operator.index`` admits ints and numpy integers, so a float such as
     2.5 or a string such as "2" is refused instead of truncated or parsed.
-    A bool is refused too, as the JSON readers do.
+    A bool is refused too, as the JSON readers do.  With no low, any
+    integer passes, for a caller whose own range check follows.
     """
     try:
         index = operator.index(value)
@@ -62,7 +63,7 @@ def require_int(value, name: str, low: int) -> int:
     if index is None or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
     value = index
-    if value < low:
+    if low is not None and value < low:
         raise InputError(f"{name} must be >= {low}, got {value}")
     return value
 

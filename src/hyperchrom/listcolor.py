@@ -24,7 +24,8 @@ exact list-color function takes a
 third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
 batches of assignments, one per orbit of the color renamings, from those
-terms with ``_kernels.list_counts``.
+terms with ``_kernels.list_counts``.  The orbits come from one flat table
+per (n, k), whose option count is the one option budget it checks.
 ``_kernels``, and with it numpy, is imported only when the exact
 list-color function runs, so loading this module or counting by brute
 force loads no numpy.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from . import budget
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _WORD = 63  # colors per int64 word of an exact search row; the sign bit stays clear
+_FULL = (1 << _WORD) - 1
 _VERTEX_KEY = re.compile(r"[1-9][0-9]*")  # canonical decimal of a vertex >= 1
 
 
@@ -316,25 +317,15 @@ def _partition_terms(H: Hypergraph, k: int) -> list[tuple[int, list[tuple[int, .
     ]
 
 
-def _option_total(n: int, k: int) -> int:
-    """The option total of the walk that renames colors by first appearance
-    alone, one state per count of used colors: a list takes f fresh colors
-    and k - f used ones, so a state has the sum over f of C(used, k - f).
-    ``_exact_caps`` refuses by this closed form, so that its refusals do not
-    depend on the orbit table."""
-    return sum(comb(used, k - f) for used in range((n - 1) * k + 1) for f in range(k + 1))
-
-
 def _exact_caps(n: int, k: int) -> None:
-    """Refuse by closed forms where ``list_color_function_exact(H, k)``
-    refuses, before any of its work: the exact_plk cap on n*k, the
-    brute_force cap on k^n and, where the search runs, on ``_option_total``.
-    ``_assignment_options`` then checks the brute_force cap on its table."""
+    """Refuse where ``list_color_function_exact(H, k)`` refuses before its
+    orbit table: the exact_plk cap on n*k and the brute_force cap on k^n.
+    The brute_force cap on the table's own option count, the one option
+    budget, is checked by ``_assignment_options``, which counts before it
+    builds."""
     budget.check_cap("exact_plk", n * k, "exact list-color function")
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
-    if n > 0 and k > 1:
-        budget.check_cap("brute_force", _option_total(n, k), "exact list-color option lists")
 
 
 def _class_moves(state: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -393,12 +384,11 @@ def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]],
 
 
 _TABLES = 8  # option tables kept, one per (n, k), the least recently used dropped first
-_Options = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-_tables: dict[tuple[int, int], tuple[int, _Options]] = {}  # (n, k) -> (option total, options)
+_tables: dict = {}  # (n, k) -> (first, value, after), read-only int64 arrays
 
 
-def _assignment_options(n: int, k: int) -> _Options:
-    """Per state of the orbit walk, the lists a vertex may take next.
+def _assignment_options(n: int, k: int):
+    """The orbit walk's option table for n vertices at list size k, in flat form.
 
     P(H, L) only depends on L through which vertices share which colors,
     so colors may be renamed freely, and the search needs one assignment
@@ -411,39 +401,49 @@ def _assignment_options(n: int, k: int) -> _Options:
     order, and each state's options come in lexicographic order of their
     lists, so ``_kernels._orbit_rows`` yields exactly the least member of
     every orbit, once each, in lexicographic order; the walk starts from
-    the constant assignment {1..k}^n.  options[state] lists (the list as
-    mask words, next state): color c is bit (c - 1) % 63 of word
-    (c - 1) // 63, so every word fits in int64.
+    the constant assignment {1..k}^n.
+
+    Returns (first, value, after), int64 arrays: state s owns options
+    first[s] to first[s + 1] - 1 (one entry more than the states that have
+    options), value[i] is option i's list as mask words, color c at bit
+    (c - 1) % 63 of word (c - 1) // 63, so every word fits in int64, and
+    after[i] is the state it hands on.  A table of T options in W words per
+    list so holds 8 * ((W + 1) * T + states + 1) bytes.
 
     The table depends only on (n, k), and the last ``_TABLES`` used are
-    kept.  Every call checks the brute_force cap on the table's option
-    total first, a kept table's included; a new table is counted, with no
-    list built, before it is built, and a refusal then reports the count
-    at which it passed the cap, a lower bound on the total.
+    kept, read-only, since every caller shares them.  Its option count is
+    exact P_l's one option budget: every call checks the brute_force cap on
+    it first, a kept table's included, and a new table is counted, with no
+    list built, before it is built, so a refusal reports the count at which
+    it passed the cap, a lower bound on the total.
     """
     what = "exact list-color orbit table"
     kept = _tables.get((n, k))
     if kept is not None:
-        budget.check_cap("brute_force", kept[0], what)
+        budget.check_cap("brute_force", len(kept[2]), what)
         del _tables[n, k]
     else:
         total, states, ids = _orbit_states(n, k, budget.get_cap("brute_force"))
         budget.check_cap("brute_force", total, f"{what}, counted until it passed the cap,")
-        words = -(-n * k // _WORD)
-        options = []
+        from ._kernels import np
+
+        bit = [0, *(1 << c for c in range(n * k))].__getitem__  # color c -> bit c - 1
+        shifts = range(0, n * k, _WORD)
+        first, value, after = [0], [], []
         for state in states:
-            opts = []
             for colors, nxt in _class_moves(state, k):
-                row = [0] * words
-                for c in colors:
-                    row[(c - 1) // _WORD] |= 1 << (c - 1) % _WORD
-                opts.append((tuple(row), ids[nxt]))
-            options.append(tuple(opts))
-        kept = total, tuple(options)  # shared by every caller, so immutable
+                mask = sum(map(bit, colors))  # distinct colors, so the sum is the OR
+                value += [mask >> s & _FULL for s in shifts]
+                after.append(ids[nxt])
+            first.append(len(after))
+        value = np.array(value, dtype=np.int64).reshape(total, len(shifts))
+        kept = np.array(first, dtype=np.int64), value, np.array(after, dtype=np.int64)
+        for array in kept:
+            array.flags.writeable = False
         if len(_tables) >= _TABLES:
             del _tables[next(iter(_tables))]
     _tables[n, k] = kept  # most recently used last
-    return kept[1]
+    return kept
 
 
 def _mask_colors(row) -> list[int]:
@@ -468,9 +468,11 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     k = 1 the constant assignment colors every edge alike, so it attains
     the minimum (0, or 1 with no edges), and the answer is returned without
     the terms, whose states can number Bell(n) there (n <= 12 at the
-    default caps).  Guarded by the exact_plk cap on
-    n*k and the brute_force cap on k^n, which keeps every P(H, L) below 2^63,
-    and on the option counts (``_exact_caps``, ``_assignment_options``).
+    default caps).  Guarded by the exact_plk cap on n*k and the brute_force
+    cap on k^n, which keeps every P(H, L) below 2^63 (``_exact_caps``), and
+    by the brute_force cap on the orbit table's option count, the one option
+    budget: the table is fetched, and so counted before it is built, ahead
+    of the partition terms and any row (``_assignment_options``).
     """
     k = require_int(k, "k", 1)
     n = H.n
@@ -480,9 +482,10 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
         return (0 if H.m else 1), ListAssignment.from_constant(n, k)
     from . import _kernels
 
+    table = _assignment_options(n, k)
     terms = _partition_terms(H, k)
     best, best_row = -1, None
-    for batch, _ in _kernels._orbit_rows(n, _assignment_options(n, k), _kernels._ROWS):
+    for batch, _ in _kernels._orbit_rows(n, table, _kernels._ROWS):
         counts = _kernels.list_counts(batch.transpose(1, 2, 0), terms)
         idx = int(counts.argmin())  # the first minimum
         if best < 0 or counts[idx] < best:
@@ -511,8 +514,7 @@ def list_color_function_search(
     ``list_color_function_exact`` finds 0.
     """
     k = require_int(k, "k", 1)
-    if iterations < 0:
-        raise InputError(f"iterations must be >= 0, got {iterations}")
+    iterations = require_int(iterations, "iterations", 0)
     n = H.n
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -23,6 +24,7 @@ from hyperchrom import (
     count_proper_colorings,
     list_color_function_exact,
     list_color_function_search,
+    nb_subsets,
     phi1_M,
     phi2_M,
     phi_Mkt,
@@ -524,6 +526,22 @@ class TestAssignmentScan:
         with pytest.raises(BudgetExceededError):
             scan_assignments_one_extra_color(e2, 2)
 
+    @pytest.mark.parametrize(
+        "gap_factor, match",
+        [("0.5", "a number"), (True, "a number"), (None, "a number"), (math.nan, ">= 0"), (-1.0, ">= 0")],
+    )
+    def test_gap_factor_refused(self, e2, gap_factor, match):
+        # a string was repeated k^(n-r) times, and NaN or a negative factor turned the check off
+        with pytest.raises(InputError, match=f"gap_factor must be {match}"):
+            scan_assignments_one_extra_color(e2, 2, gap_factor=gap_factor)
+
+    def test_gap_factor_any_real(self, e2):
+        want = scan_assignments_one_extra_color(e2, 2, gap_factor=0.5)
+        assert want["min_gap_margin"] is not None
+        for gap_factor in (Fraction(1, 2), np.float64(0.5)):
+            assert scan_assignments_one_extra_color(e2, 2, gap_factor=gap_factor) == want
+        assert scan_assignments_one_extra_color(e2, 2, gap_factor=0) == scan_assignments_one_extra_color(e2, 2)
+
 
 @pytest.mark.parametrize(
     "call",
@@ -540,3 +558,26 @@ def test_non_integer_k_refused(f1, call):
     # truncating 2.5 would answer for k = 2; the check refuses it before any work
     with pytest.raises(InputError, match="k must be an integer"):
         call(f1, 2.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda H, x: theorem_certify(H, 3, x), "which"),
+        (lambda H, x: list_color_function_search(H, 2, iterations=x), "iterations"),
+        (lambda H, x: nb_subsets(H, size=x), "size"),
+        (lambda H, x: nb_subsets(H, must_contain=x), "must_contain label"),
+    ],
+    ids=["theorem_certify_which", "plk_search_iterations", "nb_size", "nb_must_contain"],
+)
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "1"])
+def test_integer_parameters_refuse_bools_and_non_integers(f1, call, name, value):
+    # True read as 1 (a report named theoremTrue_threshold, the 1-edge members),
+    # and 1.0 or 2.5 passed through or raised a raw TypeError
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        call(f1, value)
+
+
+def test_integer_parameters_take_numpy_integers(f1):
+    assert theorem_certify(f1, 3, np.int64(2)).name == "theorem2_threshold"
+    assert list(nb_subsets(f1, size=np.int64(1), must_contain=np.int64(2))) == list(nb_subsets(f1, size=1, must_contain=2))

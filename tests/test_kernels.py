@@ -276,9 +276,9 @@ def test_orbit_rows_bound():
     # the exact search walks one row per orbit (Bell(12) at k = 1), every
     # table within max(limit, longest option list)
     for n, k, total in ((12, 1, 4213597), (6, 2, 29388)):
-        options = listcolor._assignment_options(n, k)
-        bound = max(7, max(len(opts) for opts in options))
-        sizes = [len(rows) for rows, _ in _kernels._orbit_rows(n, options, 7)]
+        table = listcolor._assignment_options(n, k)
+        bound = max(7, int(np.diff(table[0]).max()))
+        sizes = [len(rows) for rows, _ in _kernels._orbit_rows(n, table, 7)]
         assert max(sizes) <= bound and sum(sizes) == total, (n, k)
 
 

@@ -74,29 +74,31 @@ def test_exact_past_one_mask_word(monkeypatch):
 def test_options_encode_colors_past_one_word():
     # each option decodes to a k-subset in lexicographic order, one word per 63 colors
     for n, k in ((65, 1), (2, 32), (3, 22), (1, 64)):
-        options = listcolor._assignment_options(n, k)
+        table = first, value, after = listcolor._assignment_options(n, k)
+        assert value.shape == (first[-1], -(-n * k // 63)) and after.shape == (first[-1],)
+        assert value.min() >= 0  # int64 words with the sign bit clear
+        options = [range(first[s], first[s + 1]) for s in range(len(first) - 1)]
         for opts in options:
-            lists = [tuple(listcolor._mask_colors(row)) for row, _ in opts]
+            lists = [tuple(listcolor._mask_colors(value[i].tolist())) for i in opts]
             assert all(len(colors) == k for colors in lists) and lists == sorted(set(lists))
-            assert all(len(row) == -(-n * k // 63) and max(row) < 2**63 for row, _ in opts)
         if k == 1:
             # one state per count of used colors, which each list may repeat or pass by one
             for used, opts in enumerate(options):
-                assert [(listcolor._mask_colors(row), nxt) for row, nxt in opts] == [
+                assert [(listcolor._mask_colors(value[i].tolist()), after[i]) for i in opts] == [
                     ([c], max(used, c)) for c in range(1, used + 2)
                 ]
         if n > 3:
             continue  # Bell(65) rows
-        rows = [row for table, _ in _kernels._orbit_rows(n, options, 7) for row in table.tolist()]
+        rows = [row for batch, _ in _kernels._orbit_rows(n, table, 7) for row in batch.tolist()]
         got = [tuple(tuple(listcolor._mask_colors(words)) for words in row) for row in rows]
         # one row per orbit, in lexicographic order
         assert got == sorted(got) and len({orbit_key(lists) for lists in got}) == len(got), (n, k)
-        first = tuple(range(1, k + 1))
+        lead = tuple(range(1, k + 1))
         if n == 2:
             # the second list shares its lowest t colors with the first, t = k down to 0
-            assert got == [(first, first[:t] + tuple(range(k + 1, 2 * k - t + 1))) for t in range(k, -1, -1)]
+            assert got == [(lead, lead[:t] + tuple(range(k + 1, 2 * k - t + 1))) for t in range(k, -1, -1)]
         if n == 1:
-            assert got == [(first,)]
+            assert got == [(lead,)]
 
 
 def test_weights_past_int64_give_the_exact_total():
