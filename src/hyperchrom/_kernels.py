@@ -7,15 +7,15 @@ terms of Whitney's expansion (``listcolor._partition_terms``): per term,
 its weight times, per block, the popcount of the AND of the block's masks.
 The assignment scan (``bounds.scan_assignments_one_extra_color``) and the
 exact list-color function both count with it, and both walk one row per
-color-renaming class: ``_orbit_rows`` grows the rows a vertex at a time
+color-renaming orbit: ``_orbit_rows`` grows the rows a vertex at a time
 from a flat option table of three int64 arrays, in depth-first
-lexicographic order.  For the scan, ``_partitions`` builds a table whose
-rows are restricted growth strings, set partitions of the vertices into
-at most num_colors blocks, each counting for the (num_colors)_j omit
-patterns (j its block count) that rename to it; for the exact search,
-``listcolor._assignment_options`` keeps one table per (n, k), and a row is
-the least assignment of its orbit, each vertex's list held as 63-bit mask
-words, so every orbit has one row.
+lexicographic order.  One builder, ``listcolor._assignment_options``,
+makes every such table, keyed on (n, k, colors): a row is the least
+assignment of its orbit among the k-assignments within colors
+1..colors, each vertex's list held as 63-bit mask words.  The exact
+search asks for colors = n * k, a bound that never binds; the scan asks
+for one color per vertex, the one it omits, within k + 1 colors, so its
+rows are the set partitions of the vertices into at most k + 1 blocks.
 The brute-force coloring count is not a kernel here: it runs on
 bit-sliced Python ints in ``chromatic.py``, and the walk over NB(H) on
 Python ints in ``cycles.py``.
@@ -71,16 +71,16 @@ def _orbit_rows(n, table, limit):
     each parent once per option, so one parent's children stay together and
     in option order.  Where a level would pass max(limit, longest option
     list) rows, its parents split into contiguous ranges walked one after
-    another, so no table is larger.  Yields (rows, final states): rows int64
-    of shape (count, n, value width), final states int64 of shape (count,).
+    another, so no table is larger.  Yields the rows, int64 of shape
+    (count, n, value width).
     """
     first, value, after = table
     size = np.diff(first)
-    bound = max(limit, int(size.max()))
+    bound = max(limit, int(size.max(initial=0)))  # n = 0: no options, one empty row
 
     def grow(v, rows, states):
         if v == n:
-            yield rows, states
+            yield rows
             return
         count = size[states]
         ends = np.cumsum(count)
@@ -97,27 +97,6 @@ def _orbit_rows(n, table, limit):
             lo = hi
 
     yield from grow(0, np.zeros((1, n, value.shape[1]), dtype=np.int64), np.zeros(1, dtype=np.int64))
-
-
-def _partitions(n, num_colors):
-    """The set partitions of n vertices into at most num_colors blocks, with weights.
-
-    Yields (digits, weight) per table of at most _ROWS partitions: digits
-    (n, count) int64 holds each partition as a restricted growth string
-    (vertex v's block, numbered by first appearance), and weight (count,)
-    the (num_colors)_j omit patterns whose colors rename to it, j its block
-    count.  The weights stop at min(n, num_colors) blocks, so each is at
-    most num_colors^n.  The walk's state is the number of blocks so far.
-    """
-    top = min(n, num_colors)
-    sizes = [min(j + 1, num_colors) for j in range(top + 1)]
-    moves = np.array([(d, max(j, d + 1)) for j in range(top + 1) for d in range(sizes[j])], dtype=np.int64)
-    falling = [1]
-    for j in range(top):
-        falling.append(falling[-1] * (num_colors - j))
-    weights = np.array(falling, dtype=np.int64)
-    for rows, blocks in _orbit_rows(n, (np.cumsum([0, *sizes]), moves[:, :1], moves[:, 1]), _ROWS):
-        yield rows[:, :, 0].T, weights[blocks]
 
 
 def list_counts(masks, terms):

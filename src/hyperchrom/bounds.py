@@ -13,10 +13,11 @@ The per-edge bound's margins k^(n-r) - w_e(k) are formed in one place,
 ``_edge_margins``, which both ``prop1_rhs`` and the scan read.
 
 Nothing here imports numpy at load time.  The assignment scan owns its
-loop over omit patterns and takes the partition walk, the list-count
-kernel and numpy from ``_kernels`` only when a nonempty scan runs.  The
-thresholds need neither numpy nor mpmath, and ``theorem_certify`` loads
-numpy only when its exact check fits the caps.
+loop over omit patterns, reads the orbit table that exact P_l reads
+(``listcolor._assignment_options``), and takes the orbit walk, the
+list-count kernel and numpy from ``_kernels`` only when a nonempty scan
+runs.  The thresholds need neither numpy nor mpmath, and
+``theorem_certify`` loads numpy only when its exact check fits the caps.
 
 Throughout, M abbreviates m - 1 and x abbreviates M / k, matching the
 substitutions the bound derivations use.  All logarithms are natural.
@@ -39,7 +40,14 @@ from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
 from .errors import BudgetExceededError, InputError, require_int
 from .hypercore import Hypergraph, _covered_count, _set_bits
-from .listcolor import ListAssignment, _exact_caps, _partition_terms, alpha, list_color_function_exact
+from .listcolor import (
+    ListAssignment,
+    _assignment_options,
+    _exact_caps,
+    _partition_terms,
+    alpha,
+    list_color_function_exact,
+)
 
 __all__ = [
     "STRICT_SLACK",
@@ -373,8 +381,11 @@ def scan_assignments_one_extra_color(
     Every assignment whose lists sit inside a (k+1)-color universe omits
     exactly one color per vertex, so the full space is the (k+1)^n omit
     patterns.  Renaming colors changes no number checked, so the scan
-    walks one pattern per renaming class, a set partition from
-    ``_kernels._partitions`` weighted by its orbit size, and, on each with
+    walks one pattern per renaming orbit, from the one orbit table that
+    exact P_l walks too (``listcolor._assignment_options`` at list size 1
+    within k + 1 colors, each vertex's one color the one it omits): a set
+    partition of the vertices into j <= k + 1 blocks, weighted by the
+    (k + 1)_j patterns in its orbit, and, on each with
     alpha > 0, verifies in exact integers that P(H, L) - P(H, k) is at
     least the per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs
     times k^(n-r) * alpha when those checks are requested.  A positive
@@ -431,7 +442,8 @@ def scan_assignments_one_extra_color(
     big_k = k ** (H.n - r)
     gap = float(gap_factor * big_k)
 
-    from ._kernels import _partitions, list_counts, np
+    from . import _kernels
+    from ._kernels import np
 
     fracs = []  # (the violation it counts, a corollary bound's exact rational)
     if H.m >= 2 and check_uniform:
@@ -444,12 +456,16 @@ def scan_assignments_one_extra_color(
         (key, np.array(_threshold_table(frac, big_k, top, limit), dtype=np.int64))
         for key, frac in fracs
     ]
+    table = _assignment_options(H.n, 1, k + 1)
+    # (k + 1)_j, the patterns that rename to a partition of j blocks
+    falling = np.array([math.perm(k + 1, j) for j in range(min(H.n, k + 1) + 1)], dtype=np.int64)
     full = np.int64((1 << (k + 1)) - 1)
     min_margin = math.inf
-    for digits, orbit in _partitions(H.n, k + 1):
-        lists = np.left_shift(np.int64(1), digits)
-        lists ^= full  # every color but the omitted one
-        alpha_e = np.empty((H.m, digits.shape[1]), dtype=np.int64)
+    for rows in _kernels._orbit_rows(H.n, table, _kernels._ROWS):
+        omitted = rows[:, :, 0].T  # (n, count): each vertex's omitted color as one bit
+        orbit = falling[np.bitwise_count(np.bitwise_or.reduce(omitted, axis=0))]
+        lists = omitted ^ full  # every color but the omitted one
+        alpha_e = np.empty((H.m, lists.shape[1]), dtype=np.int64)
         for e, edge in enumerate(H.edges):
             both = lists[edge[0] - 1] & lists[edge[1] - 1]
             for u in edge[2:]:
@@ -459,7 +475,7 @@ def scan_assignments_one_extra_color(
         sel = alpha > 0
         if not sel.any():
             continue
-        diff = list_counts(lists[:, None], terms) - p_k
+        diff = _kernels.list_counts(lists[:, None], terms) - p_k
         rhs = np.zeros_like(alpha)
         for e, c in enumerate(margins):
             rhs += alpha_e[e] * c

@@ -24,7 +24,8 @@ the brute-force counts of ``chromatic --oracle`` and ``list-count``
 included, start without either library.
 
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
-(oracle or route mismatch, a failing bound), 2 input error, 3 budget
+(oracle or route mismatch, a failing bound), 2 input error (or a
+missing library, such as numpy for the exact ``plk``), 3 budget
 refusal, 4 generator failure (the random families fall back to one
 greedy pass over the shuffled r-subsets when rejection sampling gives
 up; 4 means that pass failed too).
@@ -397,10 +398,7 @@ def main(argv=None) -> int:
     except GeneratorError as exc:
         print(f"generator failed: {exc}", file=sys.stderr)
         return 4
-    except HyperchromError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HyperchromError, OSError, ModuleNotFoundError) as exc:  # the last: numpy absent
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,7 +58,7 @@ class EdgeSubset:
 
     def __init__(self, m: int, labels: Iterable[int] = ()):
         mask = 0
-        for lab in labels:
+        for lab in require_ints(labels, "edge labels"):
             if not 1 <= lab <= m:
                 raise InputError(f"edge label {lab} outside 1..{m}")
             mask |= 1 << (lab - 1)
@@ -295,13 +295,14 @@ def _subset_blocks(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> tuple[list[i
 
 
 def _edge_indices(m: int, A: EdgeSubset | Iterable[int]) -> Iterator[int]:
-    """The 0-based edge indices of A, refusing a label outside 1..m."""
+    """The 0-based edge indices of A, refusing a label that is not an
+    integer (a bool included) or lies outside 1..m."""
     if isinstance(A, EdgeSubset):
         if not A.mask >> m:
             yield from _set_bits(A.mask)
             return
         A = A.labels
-    for lab in A:
+    for lab in require_ints(A, "edge labels"):
         if not 1 <= lab <= m:
             raise InputError(f"edge label {lab} outside 1..{m}")
         yield lab - 1

@@ -25,7 +25,8 @@ third: it groups Whitney's expansion over all edge subsets by partition in
 one pass over the edges, with no delta-cycle catalog, and counts whole
 batches of assignments, one per orbit of the color renamings, from those
 terms with ``_kernels.list_counts``.  The orbits come from one flat table
-per (n, k), whose option count is the one option budget it checks.
+per (n, k, colors), the one orbit table that the assignment scan reads
+too, whose option count is the one option budget exact P_l checks.
 ``_kernels``, and with it numpy, is imported only when the exact
 list-color function runs, so loading this module or counting by brute
 force loads no numpy.
@@ -33,6 +34,7 @@ force loads no numpy.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -328,34 +330,40 @@ def _exact_caps(n: int, k: int) -> None:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
 
 
-def _class_moves(state: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The lists a vertex may take in ``state``, as (colors, next state), sorted by colors.
+def _class_moves(state: tuple[int, ...], k: int, colors: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lists a vertex may take in ``state``, as (list, next state), sorted by list.
 
     ``state`` gives the sizes of the classes of the used colors in color
     order: a class is a run of consecutive colors that the earlier vertices
     hold alike.  A list takes t_i colors of class i, its lowest ones, plus
     the next k - sum(t_i) fresh colors, and splits class i into the t_i it
-    took and the rest; its fresh colors form one more class.
+    took and the rest; its fresh colors form one more class.  A list whose
+    fresh colors would pass ``colors`` is dropped: the fresh colors are the
+    highest used so far, so the walk then keeps exactly the assignments
+    within colors 1..colors.
     """
     used = sum(state)
-    partial = [((), (), k)]  # per choice for the classes so far: (colors, classes, colors left)
+    partial = [((), (), k)]  # per choice for the classes so far: (taken, classes, colors left)
     first = 1
     for size in state:
         grown = []
-        for colors, classes, left in partial:
-            grown.append((colors, classes + (size,), left))
+        for taken, classes, left in partial:
+            grown.append((taken, classes + (size,), left))
             for t in range(1, min(size, left) + 1):
                 split = (t, size - t) if t < size else (size,)
-                grown.append((colors + tuple(range(first, first + t)), classes + split, left - t))
+                grown.append((taken + tuple(range(first, first + t)), classes + split, left - t))
         partial = grown
         first += size
     return sorted(
-        (colors + tuple(range(used + 1, used + left + 1)), classes + (left,) if left else classes)
-        for colors, classes, left in partial
+        (taken + tuple(range(used + 1, used + left + 1)), classes + (left,) if left else classes)
+        for taken, classes, left in partial
+        if used + left <= colors
     )
 
 
-def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+def _orbit_states(
+    n: int, k: int, colors: int, cap: int
+) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]]:
     """The states of the first n vertices' walk, breadth first, and its option total.
 
     Returns (total, states, ids): ``states`` those met by the first n - 1
@@ -371,11 +379,11 @@ def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]],
     for _ in range(n):
         reached = []
         for state in level:
-            moves = _class_moves(state, k)
+            moves = _class_moves(state, k, colors)
             total += len(moves)
             if total > cap:
                 return total, [], ids
-            for _colors, nxt in moves:
+            for _taken, nxt in moves:
                 if nxt not in ids:
                     ids[nxt] = len(ids)
                     reached.append(nxt)
@@ -383,15 +391,14 @@ def _orbit_states(n: int, k: int, cap: int) -> tuple[int, list[tuple[int, ...]],
     return total, list(ids)[: len(ids) - len(level)], ids
 
 
-_TABLES = 8  # option tables kept, one per (n, k), the least recently used dropped first
-_tables: dict = {}  # (n, k) -> (first, value, after), read-only int64 arrays
+_TABLES = 8  # orbit tables kept, the least recently used dropped first
 
 
-def _assignment_options(n: int, k: int):
-    """The orbit walk's option table for n vertices at list size k, in flat form.
+def _assignment_options(n: int, k: int, colors: int):
+    """The orbit walk's option table for n vertices, lists of k colors within 1..colors.
 
     P(H, L) only depends on L through which vertices share which colors,
-    so colors may be renamed freely, and the search needs one assignment
+    so colors may be renamed freely, and a search needs one assignment
     per orbit of the renamings: the lexicographically least, with vertex 1
     holding {1..k}.  After some vertices, the renamings that fix their
     lists permute each class of colors that those vertices hold alike, so
@@ -401,7 +408,16 @@ def _assignment_options(n: int, k: int):
     order, and each state's options come in lexicographic order of their
     lists, so ``_kernels._orbit_rows`` yields exactly the least member of
     every orbit, once each, in lexicographic order; the walk starts from
-    the constant assignment {1..k}^n.
+    the constant assignment {1..k}^n.  The least member of an orbit within
+    colors 1..colors is the least member of its orbit among all
+    assignments, and uses no color past ``colors``, so the bounded table
+    walks one row per orbit of the assignments drawn from ``colors``
+    colors.  Both searches read it:
+
+    - exact P_l asks for (n, k, n * k), a bound that never binds;
+    - the assignment scan asks for (n, 1, k + 1): each vertex's one color
+      is the one it omits, and a row is a restricted growth string, a set
+      partition of the vertices into at most k + 1 blocks.
 
     Returns (first, value, after), int64 arrays: state s owns options
     first[s] to first[s + 1] - 1 (one entry more than the states that have
@@ -410,40 +426,42 @@ def _assignment_options(n: int, k: int):
     after[i] is the state it hands on.  A table of T options in W words per
     list so holds 8 * ((W + 1) * T + states + 1) bytes.
 
-    The table depends only on (n, k), and the last ``_TABLES`` used are
-    kept, read-only, since every caller shares them.  Its option count is
-    exact P_l's one option budget: every call checks the brute_force cap on
-    it first, a kept table's included, and a new table is counted, with no
-    list built, before it is built, so a refusal reports the count at which
-    it passed the cap, a lower bound on the total.
+    The table depends only on (n, k, colors), and the last ``_TABLES``
+    used are kept (``_orbit_table``), read-only, since every caller shares
+    them.  Its option count is exact P_l's one option budget: every call
+    checks the brute_force cap on it, a kept table's included.  The scan's
+    table never passes that cap once (k + 1)^n does, which the scan checks
+    first.
     """
-    what = "exact list-color orbit table"
-    kept = _tables.get((n, k))
-    if kept is not None:
-        budget.check_cap("brute_force", len(kept[2]), what)
-        del _tables[n, k]
-    else:
-        total, states, ids = _orbit_states(n, k, budget.get_cap("brute_force"))
-        budget.check_cap("brute_force", total, f"{what}, counted until it passed the cap,")
-        from ._kernels import np
+    table = _orbit_table(n, k, colors)
+    budget.check_cap("brute_force", len(table[2]), "exact list-color orbit table")
+    return table
 
-        bit = [0, *(1 << c for c in range(n * k))].__getitem__  # color c -> bit c - 1
-        shifts = range(0, n * k, _WORD)
-        first, value, after = [0], [], []
-        for state in states:
-            for colors, nxt in _class_moves(state, k):
-                mask = sum(map(bit, colors))  # distinct colors, so the sum is the OR
-                value += [mask >> s & _FULL for s in shifts]
-                after.append(ids[nxt])
-            first.append(len(after))
-        value = np.array(value, dtype=np.int64).reshape(total, len(shifts))
-        kept = np.array(first, dtype=np.int64), value, np.array(after, dtype=np.int64)
-        for array in kept:
-            array.flags.writeable = False
-        if len(_tables) >= _TABLES:
-            del _tables[next(iter(_tables))]
-    _tables[n, k] = kept  # most recently used last
-    return kept
+
+@functools.lru_cache(maxsize=_TABLES)
+def _orbit_table(n: int, k: int, colors: int):
+    """Build ``_assignment_options``' table, counted, with no list built,
+    before it is built, so a refusal reports the count at which it passed
+    the brute_force cap, a lower bound on the total.  Called positionally
+    only, so no table is kept under two keys."""
+    total, states, ids = _orbit_states(n, k, colors, budget.get_cap("brute_force"))
+    budget.check_cap("brute_force", total, "exact list-color orbit table, counted until it passed the cap,")
+    from ._kernels import np
+
+    bit = [0, *(1 << c for c in range(colors))].__getitem__  # color c -> bit c - 1
+    shifts = range(0, colors, _WORD)
+    first, value, after = [0], [], []
+    for state in states:
+        for taken, nxt in _class_moves(state, k, colors):
+            mask = sum(map(bit, taken))  # distinct colors, so the sum is the OR
+            value += [mask >> s & _FULL for s in shifts]
+            after.append(ids[nxt])
+        first.append(len(after))
+    value = np.array(value, dtype=np.int64).reshape(total, len(shifts))
+    table = np.array(first, dtype=np.int64), value, np.array(after, dtype=np.int64)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _mask_colors(row) -> list[int]:
@@ -482,10 +500,10 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
         return (0 if H.m else 1), ListAssignment.from_constant(n, k)
     from . import _kernels
 
-    table = _assignment_options(n, k)
+    table = _assignment_options(n, k, n * k)
     terms = _partition_terms(H, k)
     best, best_row = -1, None
-    for batch, _ in _kernels._orbit_rows(n, table, _kernels._ROWS):
+    for batch in _kernels._orbit_rows(n, table, _kernels._ROWS):
         counts = _kernels.list_counts(batch.transpose(1, 2, 0), terms)
         idx = int(counts.argmin())  # the first minimum
         if best < 0 or counts[idx] < best:

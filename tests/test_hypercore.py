@@ -219,6 +219,21 @@ class TestComponents:
                 components(e2, A)
         assert components(e2, EdgeSubset(9, [2])) == 3
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda H: components(H, [1.0]),
+            lambda H: components(H, [True]),  # not read as edge 1
+            lambda H: beta(H, ListAssignment.from_constant(H.n, 2), [2.0]),
+            lambda H: EdgeSubset(2, [1.5]),
+            lambda H: H.subset(["1"]),
+        ],
+        ids=["components-float", "components-bool", "beta-float", "edge-subset-float", "subset-str"],
+    )
+    def test_non_integer_label_refused(self, e2, call):
+        with pytest.raises(InputError, match="edge labels must be integers"):
+            call(e2)
+
 
 class TestStatistics:
     def test_rho(self, e2, tri, matching2):

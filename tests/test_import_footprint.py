@@ -152,3 +152,32 @@ def test_theorem_certify_refuses_exact_check_before_kernels(files):
         f"print(json.dumps([rep.verdict, {_LOADED}]))\n"
     )
     assert loaded(code, files["fano"]) == ("holds", [])
+
+
+def test_plk_without_numpy_exits_two(files):
+    # numpy blocked: the exact search ends in one error line and exit 2, and
+    # the heuristic search, which needs no numpy, still answers
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import hyperchrom.cli\n"
+        "sys.exit(hyperchrom.cli.main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("HYPERCHROM_BUDGET", None)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", code, "plk", files["small"], "--k", "2", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    exact = run()
+    assert (exact.returncode, exact.stdout) == (2, "")
+    assert exact.stderr.startswith("error: ") and exact.stderr.count("\n") == 1, exact.stderr
+    heuristic = run("--heuristic")
+    assert heuristic.returncode == 0, heuristic.stderr
+    assert heuristic.stdout.startswith("P_l<=")

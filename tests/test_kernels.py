@@ -9,6 +9,7 @@ expansion and the exact corollary bounds.
 """
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -202,7 +203,7 @@ class TestKernelParity:
 
                 def rows(n, options, limit, table=table[:, :, None]):
                     for lo in range(0, len(table), limit):
-                        yield table[lo : lo + limit], None
+                        yield table[lo : lo + limit]
 
                 monkeypatch.setattr(_kernels, "_orbit_rows", rows)
                 for size in (1, 2, 3, 4096):
@@ -251,11 +252,15 @@ def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
 
 
 def test_partitions():
+    # the scan's table: one color per vertex, the one it omits, within num_colors
     for num_colors in range(1, 6):
         for n in range(7):
-            tables = list(_kernels._partitions(n, num_colors))
-            rows = [tuple(row) for digits, _ in tables for row in digits.T.tolist()]
-            weights = [w for _, weight in tables for w in weight.tolist()]
+            table = listcolor._assignment_options(n, 1, num_colors)
+            omitted = np.concatenate(list(_kernels._orbit_rows(n, table, 7)))[:, :, 0]
+            rows = [tuple(bit.bit_length() - 1 for bit in row) for row in omitted.tolist()]
+            # the scan's weight: (num_colors)_j, j the distinct omitted colors
+            distinct = np.bitwise_count(np.bitwise_or.reduce(omitted, axis=1)).tolist()
+            weights = [math.perm(num_colors, j) for j in distinct]
             # restricted growth strings: each digit at most one past the largest before it
             rgs = [
                 s
@@ -276,9 +281,9 @@ def test_orbit_rows_bound():
     # the exact search walks one row per orbit (Bell(12) at k = 1), every
     # table within max(limit, longest option list)
     for n, k, total in ((12, 1, 4213597), (6, 2, 29388)):
-        table = listcolor._assignment_options(n, k)
+        table = listcolor._assignment_options(n, k, n * k)
         bound = max(7, int(np.diff(table[0]).max()))
-        sizes = [len(rows) for rows, _ in _kernels._orbit_rows(n, table, 7)]
+        sizes = [len(rows) for rows in _kernels._orbit_rows(n, table, 7)]
         assert max(sizes) <= bound and sum(sizes) == total, (n, k)
 
 

@@ -74,7 +74,7 @@ def test_exact_past_one_mask_word(monkeypatch):
 def test_options_encode_colors_past_one_word():
     # each option decodes to a k-subset in lexicographic order, one word per 63 colors
     for n, k in ((65, 1), (2, 32), (3, 22), (1, 64)):
-        table = first, value, after = listcolor._assignment_options(n, k)
+        table = first, value, after = listcolor._assignment_options(n, k, n * k)
         assert value.shape == (first[-1], -(-n * k // 63)) and after.shape == (first[-1],)
         assert value.min() >= 0  # int64 words with the sign bit clear
         options = [range(first[s], first[s + 1]) for s in range(len(first) - 1)]
@@ -89,7 +89,7 @@ def test_options_encode_colors_past_one_word():
                 ]
         if n > 3:
             continue  # Bell(65) rows
-        rows = [row for batch, _ in _kernels._orbit_rows(n, table, 7) for row in batch.tolist()]
+        rows = [row for batch in _kernels._orbit_rows(n, table, 7) for row in batch.tolist()]
         got = [tuple(tuple(listcolor._mask_colors(words)) for words in row) for row in rows]
         # one row per orbit, in lexicographic order
         assert got == sorted(got) and len({orbit_key(lists) for lists in got}) == len(got), (n, k)

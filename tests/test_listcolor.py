@@ -237,12 +237,25 @@ class TestListColorFunction:
             want = list(orbit_leaders(n, k))
             # n * k <= 12: each list is one word, color c at bit c - 1
             masks = np.bitwise_or.reduce(np.left_shift(1, np.array(want) - 1), axis=2)
-            table = listcolor._assignment_options(n, k)
+            table = listcolor._assignment_options(n, k, n * k)
             assert table[1].shape == (len(table[2]), 1)  # one flat table, one word per list
             for limit in (1, 7, _kernels._ROWS):
-                rows = np.concatenate([rows for rows, _ in _kernels._orbit_rows(n, table, limit)])
+                rows = np.concatenate(list(_kernels._orbit_rows(n, table, limit)))
                 assert rows.shape == (len(want), n, 1), (n, k, limit)
                 assert np.array_equal(rows[:, :, 0], masks), (n, k, limit)
+
+    def test_bounded_table_keeps_the_rows_within_its_colors(self):
+        # a table bounded at c colors walks the unbounded table's rows that
+        # use no color past c, in the same order; (11, 1) and (12, 1) are
+        # left out, as above
+        def rows(n, k, colors):
+            table = listcolor._assignment_options(n, k, colors)
+            return np.concatenate(list(_kernels._orbit_rows(n, table, _kernels._ROWS)))[:, :, 0]
+
+        for n, k in [(n, k) for n in range(1, 11) for k in range(1, 12 // n + 1)]:
+            full = rows(n, k, n * k)
+            for c in range(k, n * k + 1):
+                assert np.array_equal(rows(n, k, c), full[(full < 1 << c).all(axis=1)]), (n, k, c)
 
     def test_budget_refusal(self, e2):
         # n * k = 15 exceeds the default exact cap of 12
@@ -255,70 +268,83 @@ class TestListColorFunction:
         # the table is counted afresh or kept from an earlier call
         for n, k in ((2, 2), (3, 2), (4, 3), (2, 6), (6, 2), (12, 1)):
             monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
-            first, value, after = listcolor._assignment_options(n, k)
+            first, value, after = listcolor._assignment_options(n, k, n * k)
             built = len(after)
             assert first[-1] == len(value) == built
-            assert listcolor._orbit_states(n, k, built)[0] == built
+            assert listcolor._orbit_states(n, k, n * k, built)[0] == built
             for kept in (True, False):
                 if not kept:
-                    monkeypatch.setattr(listcolor, "_tables", {})
+                    listcolor._orbit_table.cache_clear()
                 monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built - 1}")
                 with pytest.raises(BudgetExceededError, match=f"needs {built} but cap brute_force={built - 1}"):
-                    listcolor._assignment_options(n, k)
+                    listcolor._assignment_options(n, k, n * k)
                 monkeypatch.setenv("HYPERCHROM_BUDGET", f"brute_force={built}")
-                assert len(listcolor._assignment_options(n, k)[2]) == built
+                assert len(listcolor._assignment_options(n, k, n * k)[2]) == built
 
     def test_kept_table_refused_under_a_lowered_cap(self, monkeypatch, e2):
-        monkeypatch.setattr(listcolor, "_tables", {})
+        listcolor._orbit_table.cache_clear()
         value = list_color_function_exact(e2, 2)
         # k^n = 32 passes this cap; the kept table's 303 options do not
-        assert len(listcolor._tables[5, 2][2]) == 303
+        assert listcolor._orbit_table.cache_info().currsize == 1
+        assert len(listcolor._orbit_table(5, 2, 10)[2]) == 303
+        assert listcolor._orbit_table.cache_info().hits == 1
         monkeypatch.setenv("HYPERCHROM_BUDGET", "brute_force=302")
         with pytest.raises(BudgetExceededError, match="orbit table needs 303 but cap brute_force=302"):
             list_color_function_exact(e2, 2)
         monkeypatch.delenv("HYPERCHROM_BUDGET")
         assert list_color_function_exact(e2, 2) == value
 
-    def test_tables_kept_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(listcolor, "_tables", {})
-        pairs = [(n, 1) for n in range(1, listcolor._TABLES + 3)]
-        for n, k in pairs:
-            listcolor._assignment_options(n, k)
-        listcolor._assignment_options(3, 1)  # used again, so kept past the next one
-        listcolor._assignment_options(2, 2)
-        assert list(listcolor._tables) == [*pairs[4:], (3, 1), (2, 2)]
+    def test_tables_kept_are_bounded(self):
+        cache = listcolor._orbit_table
+        cache.cache_clear()
+        keys = [(n, 1, n) for n in range(1, listcolor._TABLES + 3)]
+        for key in keys:
+            listcolor._assignment_options(*key)
+        listcolor._assignment_options(3, 1, 3)  # used again, so kept past the next one
+        listcolor._assignment_options(2, 2, 4)
+        kept = [*keys[4:], (3, 1, 3), (2, 2, 4)]
+        assert cache.cache_info().currsize == len(kept) == listcolor._TABLES
+        hits = cache.cache_info().hits
+        for key in kept:
+            listcolor._assignment_options(*key)
+        assert cache.cache_info().hits == hits + len(kept)
+        misses = cache.cache_info().misses
+        listcolor._assignment_options(*keys[0])  # dropped, as were keys[1] and keys[3]
+        assert cache.cache_info().misses == misses + 1
 
     def test_option_lists_refused_before_building(self, monkeypatch, e1):
         # k^n = 64,000 passes the cap; the orbit table's 194,482 options do not,
         # and the count stops just past the cap, before any list is built
         monkeypatch.setenv("HYPERCHROM_BUDGET", "exact_plk=120,brute_force=100000")
-        monkeypatch.setattr(listcolor, "_tables", {})
+        listcolor._orbit_table.cache_clear()
         start = time.monotonic()
         with pytest.raises(BudgetExceededError, match="orbit table, counted until it passed the cap") as exc:
             list_color_function_exact(e1, 40)
         assert time.monotonic() - start < 1.0
         assert exc.value.cap_name == "brute_force"
-        assert listcolor._tables == {}
+        assert listcolor._orbit_table.cache_info().currsize == 0
 
     def test_large_k_answers_under_a_raised_exact_cap(self, monkeypatch, e1):
         # the orbit table is the one option budget: these tables hold 32,
         # 20,737 and 194,482 options, all under the brute_force cap
         monkeypatch.setenv("HYPERCHROM_BUDGET", "exact_plk=130")
-        monkeypatch.setattr(listcolor, "_tables", {})  # none of them kept past the test
-        for H, k in ((Hypergraph(2, [(1, 2)]), 30), (e1, 22), (e1, 40)):
-            value, witness = list_color_function_exact(H, k)
-            assert value == k**H.n - k, (H.n, k)
-            assert witness.is_constant()
+        try:
+            for H, k in ((Hypergraph(2, [(1, 2)]), 30), (e1, 22), (e1, 40)):
+                value, witness = list_color_function_exact(H, k)
+                assert value == k**H.n - k, (H.n, k)
+                assert witness.is_constant()
+        finally:
+            listcolor._orbit_table.cache_clear()  # none of them kept past the test
 
     def test_kept_table_bytes(self):
         # three int64 arrays: per state its first option, per option its list's
         # words and its next state; nothing else is kept, and no call copies it
         for n, k, words, states, total in ((6, 2, 1, 55, 1138), (2, 32, 2, 2, 34)):
-            table = listcolor._assignment_options(n, k)
+            table = listcolor._assignment_options(n, k, n * k)
             assert [a.shape for a in table] == [(states + 1,), (total, words), (total,)]
             assert all(a.dtype == np.int64 and not a.flags.writeable for a in table)
             assert sum(a.nbytes for a in table) == 8 * ((words + 1) * total + states + 1)
-            assert listcolor._assignment_options(n, k) is table
+            assert listcolor._assignment_options(n, k, n * k) is table
 
     def test_search_upper_bounds_exact(self, e2):
         exact, _ = list_color_function_exact(e2, 2)
