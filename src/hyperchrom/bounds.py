@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
 from typing import Iterable
 
 from . import budget, hypercore
 from .chromatic import chromatic_polynomial
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
-from .errors import BudgetExceededError, InputError, require_int
+from .errors import BudgetExceededError, InputError, require_int, require_real
 from .hypercore import Hypergraph, _covered_count, _set_bits
 from .listcolor import (
     ListAssignment,
@@ -225,7 +224,7 @@ def threshold_thm1(m: int, rho: float) -> float:
     Pure formula; the extra hypotheses are the caller's to gate on
     (theorem_certify reports them through applicability).  m = 2 gives
     an infinite threshold since ln(m-1) vanishes.  rho may be any real
-    number >= 1, but not a bool.
+    number >= 1.
     """
     return _threshold(m, 2.4, rho)
 
@@ -244,12 +243,7 @@ def threshold_thm3(m: int) -> float:
 
 def _threshold(m: int, c: float, rho: float = 1) -> float:
     """c(m-1)/(rho * ln(m-1)), infinite at m = 2, for an integer m >= 2."""
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"m must be an integer >= 2, got {m!r}")
-    if not isinstance(rho, Real) or isinstance(rho, bool):
-        raise InputError(f"rho must be a number, got {rho!r}")
-    if not rho >= 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
+    m, rho = require_int(m, "m", 2), require_real(rho, "rho", 1)
     if m == 2:
         return math.inf
     return c * (m - 1) / (rho * math.log(m - 1))
@@ -258,18 +252,14 @@ def _threshold(m: int, c: float, rho: float = 1) -> float:
 def thm2_gap_factor(m: int) -> float:
     """Factor on k^(n-3) * alpha(H, L) in the strict 3-uniform gap bound:
     0.002 ln(m-1) / (m-1)^0.156."""
-    if not isinstance(m, int) or m < 3:
-        raise InputError(f"m must be an integer >= 3, got {m!r}")
-    M = m - 1
+    M = require_int(m, "m", 3) - 1
     return 0.002 * math.log(M) / M**0.156
 
 
 def thm3_gap_factor(m: int) -> float:
     """Factor on k^(n-r) * alpha(H, L) in the strict r >= 4 gap bound:
     (m-1)^(-1.796) * (1 + 1.796 ln(m-1))."""
-    if not isinstance(m, int) or m < 3:
-        raise InputError(f"m must be an integer >= 3, got {m!r}")
-    M = m - 1
+    M = require_int(m, "m", 3) - 1
     return M**-1.796 * (1 + 1.796 * math.log(M))
 
 
@@ -409,11 +399,7 @@ def scan_assignments_one_extra_color(
     k^n.  The per-edge bound's sum is formed in int64, and each alpha_e is
     at most r - 1, so refusing (r - 1) * sum |margin| >= 2^63 keeps it exact.
     """
-    k = require_int(k, "k", 1)
-    if not isinstance(gap_factor, Real) or isinstance(gap_factor, bool):
-        raise InputError(f"gap_factor must be a number, got {gap_factor!r}")
-    if not gap_factor >= 0:  # NaN too
-        raise InputError(f"gap_factor must be >= 0, got {gap_factor}")
+    k, gap_factor = require_int(k, "k", 1), require_real(gap_factor, "gap_factor", 0)
     hypercore.require_valid(H)
     out = {
         "checked": 0,

@@ -58,6 +58,7 @@ class IntPolynomial:
 
     def eval(self, k: int) -> int:
         """Evaluate at an integer point, exactly."""
+        k = require_int(k, "k")
         if not self._coeffs:
             return 0
         acc = 0

@@ -30,7 +30,7 @@ from mpmath import mp, mpf
 
 from ._kernels import np
 from .bounds import C_THM2, STRICT_SLACK, BoundReport, cor_linear_rhs_exact, cor_uniform_rhs_exact
-from .errors import InputError, require_int
+from .errors import InputError, require_int, require_real
 
 __all__ = [
     "C_THM3",
@@ -90,15 +90,6 @@ def _psi_x(x, c, exp):
     return 2 * exp((3 * c - 1) * x) - 3 * x**3
 
 
-def _check_mrk(m, k) -> int:
-    """M = m - 1, refusing m unless an integer >= 2, and k < 1; k may be any
-    real number here."""
-    M = require_int(m, "m", 2) - 1
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    return M
-
-
 def _mpf_of(frac) -> mpf:
     """An exact corollary rational as an mpf at _DPS digits."""
     with mp.workdps(_DPS):
@@ -114,8 +105,10 @@ def cor_uniform_rhs(m: int, rho: int, k: int, mode: str = "binomial") -> mpf:
       binomial  1 - sum_{i>=1} C(m-1, 2i-1) * k^(-2i-rho+2), exact series
       sinh      1 - k^(1-rho) * sinh((m-1)/k)
       phi       1 - k^(1-rho) * exp((m-1)/k) / 2
+
+    k may be any real number >= 1 outside the binomial mode.
     """
-    M = _check_mrk(m, k)
+    M, k = require_int(m, "m", 2) - 1, require_real(k, "k", 1)
     rho = require_int(rho, "rho", 1)
     if mode == "binomial":
         return _mpf_of(cor_uniform_rhs_exact(m, rho, k))
@@ -138,9 +131,10 @@ def cor_linear_rhs(m: int, r: int, k: int, mode: str = "binomial") -> mpf:
 
     closed replaces each binomial coefficient by the factorial bound, so
     binomial >= closed pointwise; at r = 3 closed collapses to
-    1 - (x/(m-1)) * sinh(x) with x = (m-1)/k.
+    1 - (x/(m-1)) * sinh(x) with x = (m-1)/k.  k may be any real number
+    >= 1 outside the binomial mode.
     """
-    M = _check_mrk(m, k)
+    M, k = require_int(m, "m", 2) - 1, require_real(k, "k", 1)
     r = require_int(r, "r", 3)
     if mode == "binomial":
         return _mpf_of(cor_linear_rhs_exact(m, r, k))
@@ -161,36 +155,28 @@ def psi_Mt(M, t) -> mpf:
     Its positivity is what turns the phi bound into the explicit
     threshold constant 2.4.  Domain M >= 2, t >= 2.
     """
-    if M < 2:
-        raise InputError(f"M must be >= 2, got {M}")
-    if t < 2:
-        raise InputError(f"t must be >= 2, got {t}")
+    M, t = require_real(M, "M", 2), require_real(t, "t", 2)
     with mp.workdps(_DPS):
         return _psi(mpf(M), mpf(t), mpf, mp.log)
 
 
 def phi_Mkt(M, k, t) -> mpf:
     """1 - k^(1-t) exp(M/k) / 2, increasing in k on (0, inf)."""
-    if k <= 0:
-        raise InputError(f"k must be > 0, got {k}")
-    if M < 0:
-        raise InputError(f"M must be >= 0, got {M}")
+    M, k, t = require_real(M, "M", 0), require_real(k, "k", 0, above=True), require_real(t, "t")
     with mp.workdps(_DPS):
         return _phi(mpf(M), mpf(k), mpf(t), mp.exp)
 
 
 def phi1_M(M) -> mpf:
     """2.4M - (2M)^(1/3) ln(M) M^(1/2.4); positive for M > 0."""
-    if M <= 0:
-        raise InputError(f"M must be > 0, got {M}")
+    M = require_real(M, "M", 0, above=True)
     with mp.workdps(_DPS):
         return _phi1(mpf(M), mpf, mp.log)
 
 
 def phi2_M(M) -> mpf:
     """2^(1/6) 2.4M - (2M)^(1/3) ln(M) M^(1/2.4 + 1/14.4); positive for M > 0."""
-    if M <= 0:
-        raise InputError(f"M must be > 0, got {M}")
+    M = require_real(M, "M", 0, above=True)
     with mp.workdps(_DPS):
         return _phi2(mpf(M), mpf, mp.log)
 
@@ -198,8 +184,7 @@ def phi2_M(M) -> mpf:
 def phi_xy_thm2(x, y) -> mpf:
     """1 - x exp(x) / (2y), the normalized-gap minorant in the 3-uniform
     threshold derivation (x = M/k, y = M)."""
-    if y <= 0:
-        raise InputError(f"y must be > 0, got {y}")
+    x, y = require_real(x, "x"), require_real(y, "y", 0, above=True)
     with mp.workdps(_DPS):
         xx = mpf(x)
         return 1 - xx * mp.exp(xx) / (2 * mpf(y))
@@ -208,6 +193,7 @@ def phi_xy_thm2(x, y) -> mpf:
 def phi_xy_thm3(x, y) -> mpf:
     """2y^3 - 2y x^3 - x^3 exp(x), the cleared-denominator form used for
     the r >= 4 threshold (positive iff the normalized gap is)."""
+    x, y = require_real(x, "x"), require_real(y, "y")
     with mp.workdps(_DPS):
         xx, yy = mpf(x), mpf(y)
         return 2 * yy**3 - 2 * yy * xx**3 - xx**3 * mp.exp(xx)
@@ -215,8 +201,7 @@ def phi_xy_thm3(x, y) -> mpf:
 
 def psi_x_thm3(x, c=None) -> mpf:
     """2 exp((3c-1)x) - 3x^3, compared against its tangent line at 0."""
-    if c is None:
-        c = C_THM3
+    x, c = require_real(x, "x"), C_THM3 if c is None else require_real(c, "c")
     with mp.workdps(_DPS):
         return _psi_x(mpf(x), mpf(c), mp.exp)
 
@@ -227,12 +212,8 @@ def Psi_r(x, M, r) -> mpf:
     Monotone increasing in r for 0 < x < M, which lets the r >= 4 case
     be settled at r = 4.  Domain x > 0, M > 0, integer r >= 4.
     """
-    if x <= 0:
-        raise InputError(f"x must be > 0, got {x}")
-    if M <= 0:
-        raise InputError(f"M must be > 0, got {M}")
-    if not isinstance(r, int) or r < 4:
-        raise InputError(f"r must be an integer >= 4, got {r!r}")
+    x, M = require_real(x, "x", 0, above=True), require_real(M, "M", 0, above=True)
+    r = require_int(r, "r", 4)
     with mp.workdps(_DPS):
         xx, Mm = mpf(x), mpf(M)
         return (
@@ -244,12 +225,8 @@ def Psi_r(x, M, r) -> mpf:
 
 def x0(M, c=None) -> mpf:
     """ln(M)/c, the substitution point where the threshold is read off."""
-    if M <= 1:
-        raise InputError(f"M must be > 1, got {M}")
-    if c is None:
-        c = C_THM3
-    if c <= 0:
-        raise InputError(f"c must be > 0, got {c}")
+    M = require_real(M, "M", 1, above=True)
+    c = C_THM3 if c is None else require_real(c, "c", 0, above=True)
     with mp.workdps(_DPS):
         return mp.log(mpf(M)) / mpf(c)
 
@@ -257,8 +234,7 @@ def x0(M, c=None) -> mpf:
 def x1(c=None) -> mpf:
     """(1/(3c-1)) ln(9/(3c-1)^3), where the tangent-line comparison is
     anchored; at the optimized c this simplifies to 1/(3c-1)."""
-    if c is None:
-        c = C_THM3
+    c = C_THM3 if c is None else require_real(c, "c")
     with mp.workdps(_DPS):
         cc = mpf(c)
         s = 3 * cc - 1
@@ -270,8 +246,7 @@ def x1(c=None) -> mpf:
 def psi_identity_relerr(M, t) -> float:
     """Relative error of psi(M,t) = 2 k0^(t-1) phi(M,k0,t) (t ln M)^(t-1)
     at k0 = 2.4M/(t ln M); algebraically zero, numerically tiny."""
-    if M < 2 or t < 2:
-        raise InputError(f"need M >= 2 and t >= 2, got M={M}, t={t}")
+    M, t = require_real(M, "M", 2), require_real(t, "t", 2)
     with mp.workdps(40):
         Mm, tt = mpf(M), mpf(t)
         lhs = _psi(Mm, tt, mpf, mp.log)

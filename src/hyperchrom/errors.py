@@ -1,5 +1,8 @@
-"""Exception hierarchy shared by all hyperchrom modules, the integer check,
-and the one reader of the JSON input files."""
+"""Exception hierarchy shared by all hyperchrom modules, the one reader of
+the JSON input files, and the two gates every numeric argument passes:
+``require_int`` (``require_ints`` for a sequence) and ``require_real``.
+Both refuse bools, strings, None and NaN with InputError and take numpy's
+numbers as Python's; only the two JSON readers test number types too."""
 
 from __future__ import annotations
 
@@ -68,13 +71,36 @@ def require_int(value, name: str, low: int | None = None) -> int:
     return value
 
 
+def require_real(value, name: str, low=None, above: bool = False):
+    """value, or InputError unless it is a real number >= low (> low if above).
+
+    A bool, a string, None and NaN are refused; an integer, numpy's
+    included, comes back as an int and any other real unchanged, so an
+    mpf or a Fraction keeps its precision.  ``numbers`` is imported on the
+    first call, so the commands that take only integers never load it.
+    """
+    from numbers import Real
+
+    if isinstance(value, bool) or not isinstance(value, Real) or (low is None and value != value):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    if low is not None and not (value > low if above else value >= low):  # NaN fails both
+        raise InputError(f"{name} must be {'>' if above else '>='} {low}, got {value}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        return value
+
+
 def require_ints(values, name: str) -> tuple[int, ...]:
-    """values as a tuple of ints, or InputError unless each is an integer.
+    """values as a tuple of ints, or InputError unless an iterable of integers.
 
     The check of ``require_int`` with no bound, made per value at C speed:
     it runs on every edge labelling and every edge read.
     """
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputError(f"{name} must be integers, got {values!r}") from None
     try:
         ints = tuple(map(operator.index, values))
     except TypeError:

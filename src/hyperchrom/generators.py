@@ -6,7 +6,8 @@ sets, each of size >= 2) within the stated limits, including edge sets
 leaving vertices isolated.  The random r-uniform families are rejection
 samplers with one fixed retry budget that fall back to one greedy pass
 over the shuffled r-subsets when every try fails; identical seeds give
-identical instances.
+identical instances.  Seeds, like every count and size, must be integers:
+a seed of None would draw a fresh instance on each call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .errors import GeneratorError, InputError
+from .errors import GeneratorError, InputError, require_int
 from .hypercore import Hypergraph, validate
 from .listcolor import ListAssignment
 
@@ -56,8 +57,7 @@ def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
     order is deterministic: edges in (size, lex) order, subsets by
     increasing first margin.
     """
-    if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
+    n, m_max = require_int(n, "n", 0), require_int(m_max, "m_max", 0)
     cands = _candidate_edges(n)
     masks = [sum(1 << (v - 1) for v in e) for e in cands]
     total = len(cands)
@@ -84,11 +84,12 @@ def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
     return rec(0)
 
 
-def _check_uniform(n: int, r: int) -> None:
-    if r < 2:
-        raise InputError(f"r must be >= 2, got {r}")
+def _check_uniform(n: int, r: int) -> tuple[int, int]:
+    """(n, r) as ints, refusing an r below 2 and an n below r."""
+    n, r = require_int(n, "n"), require_int(r, "r", 2)
     if n < r:
         raise InputError(f"n must be >= r, got n={n}, r={r}")
+    return n, r
 
 
 def iter_r_uniform(
@@ -99,7 +100,7 @@ def iter_r_uniform(
     With linear_only, restricts to edge sets whose pairwise
     intersections have at most one vertex.
     """
-    _check_uniform(n, r)
+    (n, r), m = _check_uniform(n, r), require_int(m, "m", 0)
     cands = list(combinations(range(1, n + 1), r))
     sets = [frozenset(e) for e in cands]
     chosen: list[int] = []
@@ -120,8 +121,7 @@ def iter_r_uniform(
 
 def random_antichain(n: int, m: int, rng: random.Random) -> Hypergraph:
     """A random hypergraph on 1..n with m edges, sampled by rejection."""
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
+    n, m = require_int(n, "n", 0), require_int(m, "m", 0)
     if n < 2 and m > 0:
         raise InputError(f"edges need n >= 2, got n={n}")
     # Sperner: no antichain of sets of size >= 2 beats the widest such layer
@@ -149,6 +149,8 @@ def random_assignment(
     n: int, k: int, universe: int, rng: random.Random
 ) -> ListAssignment:
     """A random k-assignment drawing each list from colors 1..universe."""
+    n, k = require_int(n, "n", 0), require_int(k, "k", 1)
+    universe = require_int(universe, "universe")
     if universe < k:
         raise InputError(f"universe {universe} smaller than list size {k}")
     return ListAssignment(
@@ -189,10 +191,10 @@ def _random_uniform(n, m, r, seed, what, pair_ok, triple_bad=None) -> Hypergraph
     and there are at most _GREEDY_POOL r-subsets, makes one greedy pass
     over them in shuffled order, keeping each that fits the edges kept so
     far.  Raises GeneratorError(what) when both fail.  m = 0 gives the
-    edgeless instance at once; m < 0 is refused.
+    edgeless instance at once; m < 0 is refused, and so is a seed that is
+    not an integer.
     """
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
+    m, seed = require_int(m, "m", 0), require_int(seed, "seed")
     if m == 0:
         return _finish(Hypergraph(n, []))
     rng = random.Random(seed)
@@ -222,17 +224,20 @@ def _random_uniform(n, m, r, seed, what, pair_ok, triple_bad=None) -> Hypergraph
 
 
 def random_linear_r_uniform(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
-    """Random linear r-uniform instance (pairwise intersections <= 1)."""
-    _check_uniform(n, r)
+    """Random linear r-uniform instance (pairwise intersections <= 1); the
+    seed must be an integer."""
+    n, r = _check_uniform(n, r)
     what = f"no linear {r}-uniform instance with n={n}, m={m}"
     return _random_uniform(n, m, r, seed, what, lambda e, f: len(e & f) <= 1)
 
 
 def random_r_uniform_rho(n: int, m: int, r: int, rho_min: int, seed: int = 0) -> Hypergraph:
-    """Random r-uniform instance with rho(H) >= rho_min (needs m >= 2)."""
-    _check_uniform(n, r)
+    """Random r-uniform instance with rho(H) >= rho_min (needs m >= 2); the
+    seed must be an integer."""
+    (n, r), m = _check_uniform(n, r), require_int(m, "m")
     if m < 2:
         raise InputError(f"rho needs m >= 2, got {m}")
+    rho_min = require_int(rho_min, "rho_min")
     what = f"no {r}-uniform instance with rho >= {rho_min}, n={n}, m={m}"
     # on r-uniform edges |e \ f| = |f \ e|, so one test per pair suffices
     return _random_uniform(n, m, r, seed, what, lambda e, f: len(e - f) >= rho_min)
@@ -240,7 +245,7 @@ def random_r_uniform_rho(n: int, m: int, r: int, rho_min: int, seed: int = 0) ->
 
 def tight_path(n: int, r: int) -> Hypergraph:
     """Consecutive r-windows on 1..n; adjacent edges overlap in r-1 vertices."""
-    _check_uniform(n, r)
+    n, r = _check_uniform(n, r)
     edges = [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
     return _finish(Hypergraph(n, edges))
 
@@ -255,9 +260,9 @@ def sunflower_free(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
 
     A 3-edge sunflower has all pairwise intersections equal to the
     common core (three pairwise disjoint edges qualify, with empty
-    core).
+    core).  The seed must be an integer.
     """
-    _check_uniform(n, r)
+    n, r = _check_uniform(n, r)
     what = f"no sunflower-free {r}-uniform instance with n={n}, m={m}"
     return _random_uniform(n, m, r, seed, what, lambda e, f: True, _is_sunflower)
 
@@ -265,6 +270,7 @@ def sunflower_free(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
 def fig1(index: int) -> Hypergraph:
     """The three fixed 4-edge fixtures; index 1 is the one whose full
     edge set is a delta-cycle, 2 and 3 are the near-misses."""
+    index = require_int(index, "fig1 index")
     if index not in _FIG1_EDGES:
         raise InputError(f"fig1 index must be 1, 2, or 3, got {index!r}")
     n, edges = _FIG1_EDGES[index]

@@ -57,7 +57,7 @@ class EdgeSubset:
     __slots__ = ("m", "mask")
 
     def __init__(self, m: int, labels: Iterable[int] = ()):
-        mask = 0
+        m, mask = require_int(m, "edge count", 0), 0
         for lab in require_ints(labels, "edge labels"):
             if not 1 <= lab <= m:
                 raise InputError(f"edge label {lab} outside 1..{m}")

@@ -79,7 +79,7 @@ class ListAssignment:
             v = require_int(v, "list vertex", 1)
             try:
                 cs = tuple(sorted(set(require_ints(colors, "colors"))))
-            except (TypeError, InputError) as exc:  # not iterable, or a non-int or bool color
+            except InputError as exc:  # not iterable, or a non-int or bool color
                 raise InputError(f"vertex {v} has a non-integer color") from exc
             if len(cs) != k:
                 raise InputError(
@@ -100,6 +100,7 @@ class ListAssignment:
     @classmethod
     def from_constant(cls, n: int, k: int) -> ListAssignment:
         """The assignment giving every vertex the list {1, ..., k}."""
+        n, k = require_int(n, "vertex count", 0), require_int(k, "list size k", 1)
         colors = tuple(range(1, k + 1))
         return cls(k, {v: colors for v in range(1, n + 1)})
 
@@ -524,7 +525,8 @@ def list_color_function_search(
     intersection pattern on a single edge.  Starting from the constant
     assignment, each step swaps one color of one vertex's list and keeps
     the move when the count does not increase.  Deterministic for a
-    fixed seed; returns the best count found and its assignment.
+    fixed seed, which must be an integer; returns the best count found
+    and its assignment.
 
     The search can stay at P(H, k): when every single swap from the
     constant assignment raises the count, it never moves.  On K_{2,4} at
@@ -532,7 +534,7 @@ def list_color_function_search(
     ``list_color_function_exact`` finds 0.
     """
     k = require_int(k, "k", 1)
-    iterations = require_int(iterations, "iterations", 0)
+    iterations, seed = require_int(iterations, "iterations", 0), require_int(seed, "seed")
     n = H.n
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")

@@ -37,9 +37,11 @@ _PROBE = (
     f"print(json.dumps([rc, {_LOADED}]))\n"
 )
 
-# the same run, reporting the package's submodules and dataclasses instead
+# the same run, reporting the package's submodules, dataclasses and numbers
+# (which only ``errors.require_real`` and numpy import) instead
 _MODULES_PROBE = _PROBE.replace(
-    _LOADED, "sorted(m for m in sys.modules if m.startswith('hyperchrom.') or m == 'dataclasses')"
+    _LOADED,
+    "sorted(m for m in sys.modules if m.startswith('hyperchrom.') or m in ('dataclasses', 'numbers'))",
 )
 
 
@@ -108,7 +110,7 @@ def test_import_loads_no_submodule():
     assert loaded(_MODULES_PROBE) == (None, [])
 
 
-_NO_COUNTS = {"chromatic", "listcolor", "bounds", "generators", "dataclasses"}
+_NO_COUNTS = {"chromatic", "listcolor", "bounds", "generators", "dataclasses", "numbers"}
 
 
 @pytest.mark.parametrize(
@@ -116,10 +118,11 @@ _NO_COUNTS = {"chromatic", "listcolor", "bounds", "generators", "dataclasses"}
     [
         (("delta-cycles", "{fano}", "--json"), _NO_COUNTS),
         (("nb", "{fano}"), _NO_COUNTS),
-        (("chromatic", "{fano}", "--k", "3", "--oracle", "--json"), {"listcolor", "bounds", "generators"}),
-        (("list-count", "{fano}", "{lists}", "--json"), {"bounds", "generators", "dataclasses"}),
+        (("chromatic", "{fano}", "--k", "3", "--json"), {"listcolor", "bounds", "generators", "numbers"}),
+        (("chromatic", "{fano}", "--k", "3", "--oracle", "--json"), {"listcolor", "bounds", "generators", "numbers"}),
+        (("list-count", "{fano}", "{lists}", "--json"), {"bounds", "generators", "dataclasses", "numbers"}),
     ],
-    ids=["delta-cycles", "nb", "chromatic-oracle", "list-count"],
+    ids=["delta-cycles", "nb", "chromatic", "chromatic-oracle", "list-count"],
 )
 def test_commands_leave_modules_unloaded(files, argv, unloaded):
     rc, modules = loaded(_MODULES_PROBE, *(a.format(**files) for a in argv))
