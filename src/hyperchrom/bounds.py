@@ -17,7 +17,8 @@ loop over omit patterns, reads the orbit table that exact P_l reads
 (``listcolor._assignment_options``), and takes the orbit walk, the
 list-count kernel and numpy from ``_kernels`` only when a nonempty scan
 runs.  The thresholds need neither numpy nor mpmath, and
-``theorem_certify`` loads numpy only when its exact check fits the caps.
+``theorem_certify`` loads numpy only when its exact check fits the caps,
+whose P(H, k) is a brute-force count that needs no delta-cycle catalog.
 
 Throughout, M abbreviates m - 1 and x abbreviates M / k, matching the
 substitutions the bound derivations use.  All logarithms are natural.
@@ -35,14 +36,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import budget, hypercore
-from .chromatic import chromatic_polynomial
+from .chromatic import count_proper_colorings
 from .cycles import DeltaCycleCatalog, _nb_walk, _require_own_catalog, normalize_eta
 from .errors import BudgetExceededError, InputError, require_int, require_real
 from .hypercore import Hypergraph, _covered_count, _set_bits
 from .listcolor import (
     ListAssignment,
     _assignment_options,
-    _exact_caps,
     _partition_terms,
     alpha,
     list_color_function_exact,
@@ -269,12 +269,12 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
     Verdicts: "not-applicable" when a structural hypothesis fails (the
     violated ones are listed), "holds" when k clears the threshold,
     "inconclusive" when it does not - the theorems are one-directional,
-    so falling short of the threshold never claims P_l != P.  When
-    P_l(H, k) and P(H, k) both fit their caps (effort "auto"; "exact"
-    insists and may raise, "threshold" skips), they are computed outright
-    and compared as an end-to-end confirmation; a theorem whose
-    hypotheses and threshold both hold but whose conclusion fails the
-    exact check would be reported as "fails".  An invalid H is refused.
+    so falling short of the threshold never claims P_l != P.  When the
+    exact P_l(H, k) fits its caps (effort "auto"; "exact" insists and may
+    raise, "threshold" skips), it is computed, then P(H, k) is counted by
+    brute force, and the two are compared as an end-to-end confirmation; a
+    theorem whose hypotheses and threshold both hold but whose conclusion
+    fails the exact check is reported as "fails".  An invalid H is refused.
     """
     hypercore.require_valid(H)
     which = require_int(which, "which")
@@ -324,15 +324,13 @@ def theorem_certify(H: Hypergraph, k: int, which: int, effort: str = "auto") -> 
         verdict = "holds" if meets else "inconclusive"
         if effort != "threshold":
             try:
-                # every refusal before the search: exact P_l's first, as when it ran first
-                _exact_caps(H.n, k)
-                budget.check_cap("nb_edges", m, "broken delta-cycle expansion")
                 plk, _witness = list_color_function_exact(H, k)
-                p = chromatic_polynomial(H).eval(k)
             except BudgetExceededError:
                 if effort == "exact":
                     raise
             else:
+                # the search passed k^n against the brute_force cap, so this count fits
+                p = count_proper_colorings(H, k)
                 details = {"P_l": plk, "P": p, "exact_equal": plk == p}
                 if meets and plk != p:
                     verdict = "fails"

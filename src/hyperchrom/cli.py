@@ -21,7 +21,8 @@ and only the commands that run the exact list-color function or the float
 grids import numpy (``plk`` without ``--heuristic``, ``verify --grids``,
 and ``verify --theorem`` when its exact check fits the caps); the others,
 the brute-force counts of ``chromatic --oracle`` and ``list-count``
-included, start without either library.
+included, start without either library.  ``plk`` counts P(H, k) by brute
+force after its search, so it builds no delta-cycle catalog.
 
 Exit codes: 0 success (and all verdicts hold), 1 verdict failure
 (oracle or route mismatch, a failing bound), 2 input error (or a
@@ -178,19 +179,24 @@ def cmd_list_count(args: argparse.Namespace) -> int:
 
 
 def cmd_plk(args: argparse.Namespace) -> int:
-    from .chromatic import chromatic_polynomial, count_proper_colorings
+    from .chromatic import count_proper_colorings
     from .listcolor import list_color_function_exact, list_color_function_search
 
     H = _load_hypergraph(args.input)
-    try:
-        p = chromatic_polynomial(H).eval(args.k)
-    except BudgetExceededError:
-        # expansion over the edge cap; the direct count may still fit
-        p = count_proper_colorings(H, args.k)
     if args.heuristic:
         value, witness = list_color_function_search(
             H, args.k, iterations=args.iterations, seed=args.seed
         )
+    else:
+        try:
+            value, witness = list_color_function_exact(H, args.k)
+        except BudgetExceededError as exc:
+            print(f"budget refused: {exc}", file=sys.stderr)
+            print("hint: rerun with --heuristic for a search-based upper bound", file=sys.stderr)
+            return 3
+    # either search has passed k^n against the brute_force cap, so this count fits
+    p = count_proper_colorings(H, args.k)
+    if args.heuristic:
         if args.json:
             record = {
                 "P_l_upper": value,
@@ -203,12 +209,6 @@ def cmd_plk(args: argparse.Namespace) -> int:
         print(f"P_l<={value} (heuristic upper bound); P={p}")
         print(f"witness: {witness.to_json()}")
         return 0
-    try:
-        value, witness = list_color_function_exact(H, args.k)
-    except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
-        print("hint: rerun with --heuristic for a search-based upper bound", file=sys.stderr)
-        return 3
     rc = 0
     relation = "=" if value == p else "<"
     if value > p:

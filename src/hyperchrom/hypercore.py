@@ -67,7 +67,13 @@ class EdgeSubset:
 
     @classmethod
     def from_mask(cls, m: int, mask: int) -> "EdgeSubset":
-        if mask < 0 or mask >> m:
+        try:  # once per streamed NB member: the shift itself refuses non-integers
+            outside = mask < 0 or mask >> m
+        except (TypeError, ValueError):  # not integers, or a negative m
+            outside = None
+        if outside is None or type(m) is bool or type(mask) is bool:  # bool has no subclass
+            raise InputError(f"edge count and mask must be integers >= 0, got {m!r} and {mask!r}")
+        if outside:
             raise InputError(f"mask {mask:#x} outside 0..2^{m}-1")
         obj = cls.__new__(cls)
         obj.m = m
@@ -121,12 +127,10 @@ class Hypergraph:
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         self.n = require_int(n, "vertex count", 0)
-        canon = []
-        for edge in edges:
-            # out-of-range vertices are validate's to report
-            vertices = tuple(sorted(set(require_ints(edge, "edge vertices"))))
-            canon.append(vertices)
-        self.edges = tuple(canon)
+        try:  # out-of-range vertices are validate's to report
+            self.edges = tuple(tuple(sorted(set(require_ints(e, "edge vertices")))) for e in edges)
+        except TypeError:  # require_ints raises InputError, so edges is not iterable
+            raise InputError(f"edges must be an iterable of edges, got {edges!r}") from None
         self._cache: dict = {}
 
     @property

@@ -29,7 +29,8 @@ per (n, k, colors), the one orbit table that the assignment scan reads
 too, whose option count is the one option budget exact P_l checks.
 ``_kernels``, and with it numpy, is imported only when the exact
 list-color function runs, so loading this module or counting by brute
-force loads no numpy.
+force loads no numpy.  Both searches check k^n against the brute_force cap
+first, so ``plk`` and ``theorem_certify`` then count P(H, k) by brute force.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class ListAssignment:
     def __init__(self, k: int, lists: Mapping[int, Iterable[int]]) -> None:
         k = require_int(k, "list size k", 1)
         self.k = k
+        if not isinstance(lists, Mapping):
+            raise InputError(f"lists must map vertices to colors, got {lists!r}")
         clean: dict[int, tuple[int, ...]] = {}
         for v, colors in lists.items():
             v = require_int(v, "list vertex", 1)
@@ -320,17 +323,6 @@ def _partition_terms(H: Hypergraph, k: int) -> list[tuple[int, list[tuple[int, .
     ]
 
 
-def _exact_caps(n: int, k: int) -> None:
-    """Refuse where ``list_color_function_exact(H, k)`` refuses before its
-    orbit table: the exact_plk cap on n*k and the brute_force cap on k^n.
-    The brute_force cap on the table's own option count, the one option
-    budget, is checked by ``_assignment_options``, which counts before it
-    builds."""
-    budget.check_cap("exact_plk", n * k, "exact list-color function")
-    if n > 0:
-        budget.check_cap("brute_force", k**n, "list-coloring enumeration")
-
-
 def _class_moves(state: tuple[int, ...], k: int, colors: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The lists a vertex may take in ``state``, as (list, next state), sorted by list.
 
@@ -488,14 +480,16 @@ def list_color_function_exact(H: Hypergraph, k: int) -> tuple[int, ListAssignmen
     the minimum (0, or 1 with no edges), and the answer is returned without
     the terms, whose states can number Bell(n) there (n <= 12 at the
     default caps).  Guarded by the exact_plk cap on n*k and the brute_force
-    cap on k^n, which keeps every P(H, L) below 2^63 (``_exact_caps``), and
-    by the brute_force cap on the orbit table's option count, the one option
-    budget: the table is fetched, and so counted before it is built, ahead
-    of the partition terms and any row (``_assignment_options``).
+    cap on k^n, which keeps every P(H, L) below 2^63, both checked first,
+    and by the brute_force cap on the orbit table's option count, the one
+    option budget: the table is fetched, and so counted before it is built,
+    ahead of the partition terms and any row (``_assignment_options``).
     """
     k = require_int(k, "k", 1)
     n = H.n
-    _exact_caps(n, k)
+    budget.check_cap("exact_plk", n * k, "exact list-color function")
+    if n > 0:
+        budget.check_cap("brute_force", k**n, "list-coloring enumeration")
     require_valid(H)
     if n == 0 or k == 1:
         return (0 if H.m else 1), ListAssignment.from_constant(n, k)

@@ -10,8 +10,9 @@ its refusal carries and whether it takes integers or reals.  From the table:
 * a numpy integer (and, for a real, a numpy float) gives the same answer
   as the Python number.
 
-The repros at the end each returned a value or raised a raw ``TypeError``
-before the gates.
+The repros at the end each returned a value or raised a raw ``TypeError``,
+``AttributeError`` or ``ValueError`` before the gates; the containers
+(a hypergraph's edges, an assignment's lists) are among them.
 """
 
 import math
@@ -185,6 +186,18 @@ def test_numpy_integers_answer():
         lambda: EdgeSubset(2, None),
         lambda: E2.subset(None),
         lambda: ListAssignment(2, {1: 5}),
+        lambda: Hypergraph(3, None),
+        lambda: Hypergraph(3, 5),
+        lambda: EdgeSubset.from_mask(2.5, 1),
+        lambda: EdgeSubset.from_mask(2, 1.0),
+        # raw AttributeErrors
+        lambda: ListAssignment(2, None),
+        lambda: ListAssignment(2, [[1, 2]]),
+        # a raw ValueError: negative shift count
+        lambda: EdgeSubset.from_mask(-1, 0),
+        # a subset whose m, or mask, was True
+        lambda: EdgeSubset.from_mask(True, 1),
+        lambda: EdgeSubset.from_mask(2, True),
         # True read as fixture 1
         lambda: fig1(True),
         # walked all 2^10 edge sets and yielded nothing
@@ -203,6 +216,15 @@ def test_numpy_integers_answer():
         "EdgeSubset-None",
         "subset-None",
         "ListAssignment-int-colors",
+        "Hypergraph-None",
+        "Hypergraph-int",
+        "from_mask-float-m",
+        "from_mask-float-mask",
+        "ListAssignment-None",
+        "ListAssignment-list",
+        "from_mask-negative-m",
+        "from_mask-True",
+        "from_mask-True-mask",
         "fig1-True",
         "iter_r_uniform-negative",
         "sunflower_free-None",

@@ -436,21 +436,14 @@ class TestTheoremCertify:
         with pytest.raises(BudgetExceededError):
             theorem_certify(TRI3, 4, 2, effort="exact")
 
-    def test_polynomial_over_cap_skips_probe(self, monkeypatch, f1):
-        # P_l fits exact_plk, but the polynomial needs nb_edges = 4
-        assert theorem_certify(f1, 2, 2).details["exact_equal"] is True
+    def test_probe_needs_no_nb_edges(self, monkeypatch, f1):
+        # P(H, k) is counted by brute force after the search, so an nb_edges
+        # cap below m (4 here) refuses neither P_l nor P
         monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=2")
-
-        def no_search(H, k):
-            raise AssertionError("exact P_l searched though nb_edges refuses")
-
-        monkeypatch.setattr(bounds, "list_color_function_exact", no_search)
-        rep = theorem_certify(f1, 2, 2)
-        assert rep.verdict == "inconclusive"
-        assert rep.details == {}
-        with pytest.raises(BudgetExceededError) as exc:
-            theorem_certify(f1, 2, 2, effort="exact")
-        assert exc.value.cap_name == "nb_edges"
+        for effort in ("auto", "exact"):
+            rep = theorem_certify(f1, 2, 2, effort=effort)
+            assert rep.verdict == "inconclusive"
+            assert rep.details == {"P_l": 18, "P": 18, "exact_equal": True}
 
     def test_invalid_instance_refused(self):
         outside = Hypergraph(4, [(1, 2, 3), (4, 5, 6), (1, 5, 7), (2, 6, 8), (3, 4, 8)])

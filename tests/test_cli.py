@@ -18,6 +18,7 @@ from hyperchrom import (
     cli,
     count_L_colorings,
     count_L_colorings_expansion,
+    cycles,
     enumerate_delta_cycles,
     generators,
     nb_subsets,
@@ -403,6 +404,14 @@ class TestDeterminism:
             assert (a.returncode, a.stdout, a.stderr) == (b.returncode, b.stdout, b.stderr)
 
 
+# plk on e2.json at k = 3, where n * k = 15 is over the default exact_plk cap
+EXACT_REFUSAL = (
+    "budget refused: exact list-color function needs 15 but cap exact_plk=12; "
+    "rerun with HYPERCHROM_BUDGET=exact_plk=15\n"
+    "hint: rerun with --heuristic for a search-based upper bound\n"
+)
+
+
 class TestInProcess:
     """Flags and families run through ``cli.main(argv)`` in this process."""
 
@@ -458,6 +467,47 @@ class TestInProcess:
         assert ListAssignment.from_json(json.dumps(record["witness"])).is_constant()
         rc, _, err = self.run(capsys, *argv, "-1")
         assert rc == 2 and "iterations" in err
+
+    def test_plk_builds_no_catalog(self, capsys, monkeypatch, files):
+        # P(H, k) is a brute-force count after the search, so no route of plk
+        # needs the delta-cycle catalog, and a refusal comes before any count
+        def no_catalog(H):
+            raise AssertionError("plk built a delta-cycle catalog")
+
+        monkeypatch.setattr(cycles, "enumerate_delta_cycles", no_catalog)
+        argv = ("plk", files["e2.json"], "--k")
+        assert self.run(capsys, *argv, "3") == (3, "", EXACT_REFUSAL)
+        out = "P_l=18 = P; witness: constant lists\nP(H,k)=18\n"
+        assert self.run(capsys, *argv, "2") == (0, out, "")
+        rc, out, _ = self.run(capsys, *argv, "2", "--heuristic", "--json")
+        assert (rc, json.loads(out)["P"]) == (0, 18)
+
+    def test_plk_refuses_by_its_search(self, capsys, monkeypatch, files):
+        # the search's own cap refuses first, on either route; nb_edges=1 is
+        # below m = 2 and refuses nothing, since no route to P needs it
+        monkeypatch.setenv("HYPERCHROM_BUDGET", "nb_edges=1,brute_force=10")
+        argv = ("plk", files["e2.json"], "--k", "3")
+        assert self.run(capsys, *argv) == (3, "", EXACT_REFUSAL)
+        assert self.run(capsys, *argv, "--heuristic") == (
+            3,
+            "",
+            "budget refused: list-coloring enumeration needs 243 but cap brute_force=10; "
+            "rerun with HYPERCHROM_BUDGET=brute_force=243\n",
+        )
+
+    def test_plk_p_is_the_polynomial_at_k(self, capsys, tmp_path):
+        # plk counts P(H, k) by brute force; the polynomial is an independent route
+        rng = random.Random(29)
+        for trial in range(6):
+            H = random_antichain(rng.randint(3, 6), rng.randint(0, 3), rng)
+            k = rng.randint(1, 12 // H.n)
+            path = tmp_path / f"h{trial}.json"
+            path.write_text(H.to_json())
+            want = chromatic_polynomial(H).eval(k)
+            for route in ((), ("--heuristic",)):
+                rc, out, _ = self.run(capsys, "plk", str(path), "--k", str(k), "--json", *route)
+                assert rc == 0
+                assert json.loads(out)["P"] == want
 
     def test_nb_eta(self, capsys, files):
         H = Hypergraph.load(files["tri3.json"])

@@ -358,6 +358,22 @@ class TestListColorFunction:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
+    def test_search_accepts_moves_that_keep_the_count(self, monkeypatch):
+        # a swap on the isolated vertex 3 keeps the count at 4, so it is
+        # accepted; the best stays the first assignment that reached 4
+        H = Hypergraph(3, [(1, 2)])
+        lists3 = []
+
+        def counted(H, L):
+            lists3.append(L.lists[3])
+            return count_L_colorings(H, L)
+
+        monkeypatch.setattr(listcolor, "count_L_colorings", counted)
+        value, witness = list_color_function_search(H, 2, seed=1)
+        assert (value, witness) == (4, ListAssignment.from_constant(3, 2))
+        # two swaps from {1, 2}: only a candidate built on an accepted move
+        assert (3, 4) in lists3
+
     def test_search_rejects_bad_arguments(self, e1):
         with pytest.raises(InputError):
             list_color_function_search(e1, 0)
