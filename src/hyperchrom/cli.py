@@ -6,8 +6,9 @@ handler with ``set_defaults(handler=...)``, and the handler reads the
 parsed arguments directly, so every option and its default is declared
 once, in ``build_parser``.  ``gen`` takes its families from the
 ``_FAMILIES`` table.  All outputs are deterministic for fixed arguments
-and seed; every numeric result is also available as a structured JSON
-record via --json.
+and seed.  Every command but ``gen`` builds its result once, as a JSON
+record and as text lines, and renders it through ``_emit``: the record
+under --json, the lines otherwise.
 
 Each command imports the library modules it runs when it runs, so a
 call loads only what it needs.  This module loads ``errors`` and
@@ -66,6 +67,15 @@ def _labels_text(labels) -> str:
     return "{" + ",".join(f"e{lab}" for lab in labels) + "}"
 
 
+def _emit(args: argparse.Namespace, record, lines: list[str], rc: int = 0) -> int:
+    """Print a command's result, its record under --json and its lines otherwise; return rc."""
+    if args.json:
+        print(json.dumps(record, sort_keys=True, default=float))
+    else:
+        print("\n".join(lines))
+    return rc
+
+
 def cmd_chromatic(args: argparse.Namespace) -> int:
     from .chromatic import chromatic_polynomial, count_proper_colorings
 
@@ -94,13 +104,9 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
                     rc = 1
             else:
                 lines.append(str(value))
-        if args.json:
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print("\n".join(lines))
+        return _emit(args, record, lines, rc)
     finally:
         sys.set_int_max_str_digits(limit)
-    return rc
 
 
 def cmd_delta_cycles(args: argparse.Namespace) -> int:
@@ -109,26 +115,24 @@ def cmd_delta_cycles(args: argparse.Namespace) -> int:
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     catalog = enumerate_delta_cycles(H)
-    broken = catalog.broken_per_cycle(eta)
-    if args.json:
-        record = {
-            "count": len(catalog.cycles),
-            "cycles": [
-                {
-                    "edges": list(cyc.labels),
-                    "size": cyc.size,
-                    "broken": list(brk.labels),
-                }
-                for cyc, brk in zip(catalog.cycles, broken)
-            ],
-        }
-        print(json.dumps(record, sort_keys=True))
-        return 0
-    count = len(catalog.cycles)
-    print(f"{count} delta-cycle{'s' if count != 1 else ''}")
-    for cyc, brk in zip(catalog.cycles, broken):
-        print(f"size {cyc.size}: {_labels_text(cyc.labels)} broken: {_labels_text(brk.labels)}")
-    return 0
+    pairs = list(zip(catalog.cycles, catalog.broken_per_cycle(eta)))
+    record = {
+        "count": len(pairs),
+        "cycles": [
+            {
+                "edges": list(cyc.labels),
+                "size": cyc.size,
+                "broken": list(brk.labels),
+            }
+            for cyc, brk in pairs
+        ],
+    }
+    lines = [f"{len(pairs)} delta-cycle{'s' if len(pairs) != 1 else ''}"]
+    lines += [
+        f"size {cyc.size}: {_labels_text(cyc.labels)} broken: {_labels_text(brk.labels)}"
+        for cyc, brk in pairs
+    ]
+    return _emit(args, record, lines)
 
 
 def cmd_nb(args: argparse.Namespace) -> int:
@@ -137,16 +141,11 @@ def cmd_nb(args: argparse.Namespace) -> int:
     eta = _parse_eta(args.eta)
     H = _load_hypergraph(args.input)
     subsets = [
-        A.labels
+        list(A.labels)
         for A in nb_subsets(H, eta=eta, must_contain=args.contains, size=args.size)
     ]
-    if args.json:
-        print(json.dumps({"count": len(subsets), "subsets": [list(s) for s in subsets]}))
-        return 0
-    for labels in subsets:
-        print(_labels_text(labels))
-    print(f"{len(subsets)} subsets")
-    return 0
+    lines = [_labels_text(labels) for labels in subsets] + [f"{len(subsets)} subsets"]
+    return _emit(args, {"count": len(subsets), "subsets": subsets}, lines)
 
 
 def cmd_list_count(args: argparse.Namespace) -> int:
@@ -158,24 +157,23 @@ def cmd_list_count(args: argparse.Namespace) -> int:
     brute = count_L_colorings(H, L)
     expansion = count_L_colorings_expansion(H, L, eta=eta)
     profile = alpha(H, L)
-    rc = 0 if brute == expansion else 1
-    if args.json:
-        record = {
-            "P_HL": brute,
-            "alpha": profile.total,
-            "alpha_per_edge": list(profile.per_edge),
-            "brute": brute,
-            "expansion": expansion,
-            "routes_agree": brute == expansion,
-        }
-        print(json.dumps(record, sort_keys=True))
-        return rc
-    print(f"P(H,L)={brute}, alpha={profile.total}")
-    print(f"routes: brute={brute} expansion={expansion}")
-    print(f"alpha per edge: {','.join(str(a) for a in profile.per_edge)}")
-    if rc:
-        print("ROUTE MISMATCH")
-    return rc
+    agree = brute == expansion
+    record = {
+        "P_HL": brute,
+        "alpha": profile.total,
+        "alpha_per_edge": list(profile.per_edge),
+        "brute": brute,
+        "expansion": expansion,
+        "routes_agree": agree,
+    }
+    lines = [
+        f"P(H,L)={brute}, alpha={profile.total}",
+        f"routes: brute={brute} expansion={expansion}",
+        f"alpha per edge: {','.join(str(a) for a in profile.per_edge)}",
+    ]
+    if not agree:
+        lines.append("ROUTE MISMATCH")
+    return _emit(args, record, lines, 0 if agree else 1)
 
 
 def cmd_plk(args: argparse.Namespace) -> int:
@@ -197,18 +195,14 @@ def cmd_plk(args: argparse.Namespace) -> int:
     # either search has passed k^n against the brute_force cap, so this count fits
     p = count_proper_colorings(H, args.k)
     if args.heuristic:
-        if args.json:
-            record = {
-                "P_l_upper": value,
-                "P": p,
-                "exact": False,
-                "witness": json.loads(witness.to_json()),
-            }
-            print(json.dumps(record, sort_keys=True))
-            return 0
-        print(f"P_l<={value} (heuristic upper bound); P={p}")
-        print(f"witness: {witness.to_json()}")
-        return 0
+        record = {
+            "P_l_upper": value,
+            "P": p,
+            "exact": False,
+            "witness": json.loads(witness.to_json()),
+        }
+        lines = [f"P_l<={value} (heuristic upper bound); P={p}", f"witness: {witness.to_json()}"]
+        return _emit(args, record, lines)
     rc = 0
     relation = "=" if value == p else "<"
     if value > p:
@@ -219,19 +213,14 @@ def cmd_plk(args: argparse.Namespace) -> int:
         if witness.is_constant()
         else f"; witness: {witness.to_json()}"
     )
-    if args.json:
-        record = {
-            "P_l": value,
-            "P": p,
-            "exact": True,
-            "equal": value == p,
-            "witness": json.loads(witness.to_json()),
-        }
-        print(json.dumps(record, sort_keys=True))
-        return rc
-    print(f"P_l={value} {relation} P{suffix}")
-    print(f"P(H,k)={p}")
-    return rc
+    record = {
+        "P_l": value,
+        "P": p,
+        "exact": True,
+        "equal": value == p,
+        "witness": json.loads(witness.to_json()),
+    }
+    return _emit(args, record, [f"P_l={value} {relation} P{suffix}", f"P(H,k)={p}"], rc)
 
 
 def _expand_paths(paths: list[str]) -> list[str]:
@@ -270,21 +259,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("nothing to verify: pass --grids and/or --theorem")
     if args.csv:
         Path(args.csv).write_text(reports_to_csv(reports))
-    if args.json:
-        print(json.dumps([asdict(r) for r in reports], sort_keys=True, default=float))
-    else:
-        for rep in reports:
-            where = rep.inputs.get("instance")
-            tag = f" {where}" if where else ""
-            if rep.verdict == "not-applicable":
-                why = "; ".join(rep.applicability)
-                print(f"{rep.name}{tag}: not-applicable ({why})")
-            else:
-                print(
-                    f"{rep.name}{tag}: {rep.verdict} "
-                    f"(lhs={rep.lhs} {rep.relation} rhs={rep.rhs})"
-                )
-    return 1 if any(rep.verdict == "fails" for rep in reports) else 0
+    lines = []
+    for rep in reports:
+        where = rep.inputs.get("instance")
+        tag = f" {where}" if where else ""
+        if rep.verdict == "not-applicable":
+            why = "; ".join(rep.applicability)
+            lines.append(f"{rep.name}{tag}: not-applicable ({why})")
+        else:
+            lines.append(
+                f"{rep.name}{tag}: {rep.verdict} "
+                f"(lhs={rep.lhs} {rep.relation} rhs={rep.rhs})"
+            )
+    rc = 1 if any(rep.verdict == "fails" for rep in reports) else 0
+    return _emit(args, [asdict(rep) for rep in reports], lines, rc)
 
 
 # family -> (its function in generators, the flags it needs in order, whether it takes --seed)

@@ -299,17 +299,12 @@ def _subset_blocks(H: Hypergraph, A: EdgeSubset | Iterable[int]) -> tuple[list[i
 
 
 def _edge_indices(m: int, A: EdgeSubset | Iterable[int]) -> Iterator[int]:
-    """The 0-based edge indices of A, refusing a label that is not an
-    integer (a bool included) or lies outside 1..m."""
-    if isinstance(A, EdgeSubset):
-        if not A.mask >> m:
-            yield from _set_bits(A.mask)
-            return
-        A = A.labels
-    for lab in require_ints(A, "edge labels"):
-        if not 1 <= lab <= m:
-            raise InputError(f"edge label {lab} outside 1..{m}")
-        yield lab - 1
+    """The 0-based edge indices of A, lowest first, refusing a label that is
+    not an integer (a bool included) or lies outside 1..m as ``EdgeSubset``
+    does."""
+    if not isinstance(A, EdgeSubset) or A.mask >> m:
+        A = EdgeSubset(m, A)
+    return _set_bits(A.mask)
 
 
 def _set_bits(mask: int) -> Iterator[int]:

@@ -12,7 +12,9 @@ its refusal carries and whether it takes integers or reals.  From the table:
 
 The repros at the end each returned a value or raised a raw ``TypeError``,
 ``AttributeError`` or ``ValueError`` before the gates; the containers
-(a hypergraph's edges, an assignment's lists) are among them.
+(a hypergraph's edges, an assignment's lists) are among them.  The last
+table holds refusals with their messages, each on a line no other test
+reaches.
 """
 
 import math
@@ -27,6 +29,7 @@ from hyperchrom import (
     EdgeSubset,
     Hypergraph,
     InputError,
+    IntPolynomial,
     ListAssignment,
     Psi_r,
     chromatic_polynomial,
@@ -232,6 +235,34 @@ def test_numpy_integers_answer():
 )
 def test_repro_refused(call):
     with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EdgeSubset.from_mask(2, 4), r"^mask 0x4 outside 0\.\.2\^2-1$"),
+        (lambda: Hypergraph(3, [(0, 1)]).edge_vertex_masks(), "^vertex 0 is not a positive"),
+        (lambda: Hypergraph.from_json('{"n": 3, "edges": 5}'), "^hypergraph field edges must"),
+        (lambda: ListAssignment.from_json('{"k": 1, "lists": []}'), '^"lists" must map vertices'),
+        (lambda: random_antichain(1, 1, random.Random(0)), "^edges need n >= 2, got n=1$"),
+        (lambda: random_r_uniform_rho(5, 1, 3, 2), "^rho needs m >= 2, got 1$"),
+        (lambda: x1(0.3), "^c must be > 1/3, got 0.3$"),
+        (lambda: IntPolynomial({-1: 1}), "^negative exponent -1$"),
+    ],
+    ids=[
+        "from_mask-wide",
+        "edge_vertex_masks-vertex-0",
+        "from_json-edges-int",
+        "from_json-lists-array",
+        "random_antichain-n-1",
+        "random_r_uniform_rho-m-1",
+        "x1-small-c",
+        "IntPolynomial-negative",
+    ],
+)
+def test_refused_with_message(call, message):
+    with pytest.raises(InputError, match=message):
         call()
 
 

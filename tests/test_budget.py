@@ -12,6 +12,8 @@ class TestOverride:
             ("nb_edges=26, brute_force=1000", "nb_edges", 26),
             ("nb_edges=26, brute_force=1000", "brute_force", 1000),
             ("nb_edges=26", "exact_plk", budget.DEFAULT_CAPS["exact_plk"]),
+            ("   ", "nb_edges", budget.DEFAULT_CAPS["nb_edges"]),
+            ("nb_edges=3,,exact_plk=5", "exact_plk", 5),
         ):
             monkeypatch.setenv("HYPERCHROM_BUDGET", raw)
             assert budget.get_cap(name) == want
@@ -23,7 +25,16 @@ class TestOverride:
 
     @pytest.mark.parametrize(
         "raw",
-        ["1e19", "brute_force=1e19", f"nb_edges=3,brute_force={2**63}", "inf", "1.5", "foo=3"],
+        [
+            "1e19",
+            "brute_force=1e19",
+            f"nb_edges=3,brute_force={2**63}",
+            "inf",
+            "1.5",
+            "foo=3",
+            "nb_edges=3,7",
+            "brute_force=abc",
+        ],
     )
     def test_refused(self, monkeypatch, raw):
         monkeypatch.setenv("HYPERCHROM_BUDGET", raw)

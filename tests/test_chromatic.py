@@ -31,6 +31,7 @@ class TestIntPolynomial:
         assert p.degree == 1
         assert p.coefficient(3) == 0
         assert IntPolynomial({}).degree == -1
+        assert IntPolynomial().eval(5) == 0
 
     def test_eval_exact_big_integers(self):
         p = IntPolynomial({40: 1, 0: -1})

@@ -249,6 +249,14 @@ def test_chunk_boundaries(e1, e2, matching2, f1, monkeypatch):
             for gap_factor in (0.0, 0.001):
                 got = scan_assignments_one_extra_color(H, k, gap_factor=gap_factor)
                 assert got == oracle_scan(H, k, gap_factor), (H.edges, k, gap_factor)
+    # one row per table: with vertex 6 isolated, the table of a row whose
+    # omitted colors miss every edge checks no pattern and is skipped
+    monkeypatch.setattr(_kernels, "_ROWS", 1)
+    H = Hypergraph(6, [(1, 2, 3), (1, 4, 5)])
+    for k in (1, 2, 3):
+        for gap_factor in (0.0, 0.001):
+            got = scan_assignments_one_extra_color(H, k, gap_factor=gap_factor)
+            assert got == oracle_scan(H, k, gap_factor), (k, gap_factor)
 
 
 def test_partitions():

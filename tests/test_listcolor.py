@@ -380,6 +380,12 @@ class TestListColorFunction:
         with pytest.raises(InputError):
             list_color_function_search(e1, 2, iterations=-1)
 
+    def test_search_without_vertices(self):
+        assert list_color_function_search(Hypergraph(0, []), 2) == (
+            1,
+            ListAssignment.from_constant(0, 2),
+        )
+
     def test_search_refuses_invalid_instance_without_vertices(self):
         with pytest.raises(InputError, match="invalid hypergraph"):
             list_color_function_search(Hypergraph(0, [(1, 2)]), 2)
