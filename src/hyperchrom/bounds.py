@@ -357,13 +357,7 @@ def _threshold_table(frac: Fraction, big_k: int, top: int, limit: int):
     return [max(-limit, min(limit, -(-num * a // den))) for a in range(top + 1)]
 
 
-def scan_assignments_one_extra_color(
-    H: Hypergraph,
-    k: int,
-    gap_factor: float = 0.0,
-    check_uniform: bool = True,
-    check_linear: bool = True,
-) -> dict:
+def scan_assignments_one_extra_color(H: Hypergraph, k: int, gap_factor: float = 0.0) -> dict:
     """Check the lower bounds on every k-assignment drawn from k+1 colors.
 
     Every assignment whose lists sit inside a (k+1)-color universe omits
@@ -375,12 +369,14 @@ def scan_assignments_one_extra_color(
     partition of the vertices into j <= k + 1 blocks, weighted by the
     (k + 1)_j patterns in its orbit, and, on each with
     alpha > 0, verifies in exact integers that P(H, L) - P(H, k) is at
-    least the per-edge bound, and at least cor_uniform_rhs / cor_linear_rhs
-    times k^(n-r) * alpha when those checks are requested.  A positive
+    least the per-edge bound, and at least cor_uniform_rhs and
+    cor_linear_rhs times k^(n-r) * alpha, counted apart, so a caller reads
+    the count whose hypotheses H meets (the uniform bound fails on perfect
+    matchings, and the linear one is claimed for linear H only).  A positive
     gap_factor additionally tracks the strict margin
-    P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.  The linear
-    corollary holds only for r >= 3, so on a graph (r = 2) check_linear
-    is skipped and viol_linear stays 0.
+    P(H, L) - P(H, k) - gap_factor * k^(n-r) * alpha.  Both corollaries
+    need m >= 2 and the linear one r >= 3; short of that, their counts
+    stay 0.
 
     Returns counts, each pattern counted with multiplicity: checked,
     viol_prop, viol_uniform, viol_linear, viol_gap, and min_gap_margin
@@ -430,9 +426,9 @@ def scan_assignments_one_extra_color(
     from ._kernels import np
 
     fracs = []  # (the violation it counts, a corollary bound's exact rational)
-    if H.m >= 2 and check_uniform:
+    if H.m >= 2:
         fracs.append(("viol_uniform", cor_uniform_rhs_exact(H.m, hypercore.rho(H), k)))
-    if H.m >= 2 and check_linear and r >= 3:
+    if H.m >= 2 and r >= 3:
         fracs.append(("viol_linear", cor_linear_rhs_exact(H.m, r, k)))
     # |P(H, L) - P(H, k)| <= k^n, so clipping just past it keeps every verdict
     top, limit = H.m * (r - 1), k**H.n + 1

@@ -14,6 +14,7 @@ counts on bit-sliced ints and serves both ``count_proper_colorings`` and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import product
 
 from . import budget
@@ -34,19 +35,24 @@ class IntPolynomial:
     """Integer polynomial in one variable, stored sparsely.
 
     Coefficients are exact Python ints keyed by exponent; zero
-    coefficients are never stored.
+    coefficients are never stored.  Exponents and coefficients must be
+    integers, and exponents >= 0.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None) -> None:
+    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         self._coeffs = {}
-        if coeffs:
-            for exp, coeff in coeffs.items():
-                if exp < 0:
-                    raise InputError(f"negative exponent {exp}")
-                if coeff:
-                    self._coeffs[int(exp)] = int(coeff)
+        if coeffs is None:
+            return
+        if not isinstance(coeffs, Mapping):
+            raise InputError(f"coefficients must map exponents to integers, got {coeffs!r}")
+        for exp, coeff in coeffs.items():
+            exp, coeff = require_int(exp, "exponent"), require_int(coeff, "coefficient")
+            if exp < 0:
+                raise InputError(f"negative exponent {exp}")
+            if coeff:
+                self._coeffs[exp] = coeff
 
     @property
     def degree(self) -> int:

@@ -55,17 +55,17 @@ def normalize_eta(H: Hypergraph, eta: Sequence[int] | None) -> tuple[int, ...]:
     return eta
 
 
-def is_delta_cycle(H: Hypergraph, F: EdgeSubset) -> bool:
+def is_delta_cycle(H: Hypergraph, F: EdgeSubset | Iterable[int]) -> bool:
     """True iff F satisfies the covering condition and no proper subset does.
 
-    A proper subset meeting the condition would hold a delta-cycle, so F
-    qualifies exactly when the catalog of its own edges is F alone.  That
-    catalog is built under the nb_edges cap, so an F with more edges than
-    the cap is refused whatever its answer would be, as is a label of F
-    outside 1..m.
+    F is an ``EdgeSubset`` or its labels, as for ``components``.  A proper
+    subset meeting the condition would hold a delta-cycle, so F qualifies
+    exactly when the catalog of its own edges is F alone.  That catalog is
+    built under the nb_edges cap, so an F with more edges than the cap is
+    refused whatever its answer would be, as is a label of F outside 1..m.
     """
     own = enumerate_delta_cycles(Hypergraph(H.n, [H.edges[i] for i in _edge_indices(H.m, F)]))
-    return [cyc.mask for cyc in own.cycles] == [(1 << F.size) - 1]
+    return [cyc.mask for cyc in own.cycles] == [(1 << own.H.m) - 1]
 
 
 def _size_then_mask(mask: int) -> tuple[int, int]:
@@ -267,8 +267,9 @@ def nb_subsets(
     """Stream the members of NB(H) under eta, in depth-first order.
 
     Optional filters restrict the stream to subsets containing the edge with
-    label ``must_contain``, to subsets of exactly ``size`` edges, and to
-    subsets holding none of the edges labelled in ``avoid``.  Because
+    label ``must_contain``, to subsets of exactly ``size`` >= 0 edges, and to
+    subsets holding none of the edges labelled in ``avoid``, whose labels
+    pass the one label gate, ``EdgeSubset``.  Because
     broken-freeness is hereditary, the walk only ever extends broken-free
     subsets; with ``must_contain`` it leaves a branch once it has passed
     that edge without taking it, and the ``avoid`` edges start out blocked,
@@ -282,14 +283,9 @@ def nb_subsets(
         if not 1 <= must_contain <= m:
             raise InputError(f"must_contain label {must_contain} outside 1..{m}")
     if size is not None:
-        size = require_int(size, "size")
-    skip = 0
-    for label in require_ints(avoid, "avoid labels"):
-        if not 1 <= label <= m:
-            raise InputError(f"avoid label {label} outside 1..{m}")
-        skip |= 1 << (label - 1)
+        size = require_int(size, "size", 0)
     want = 0 if must_contain is None else 1 << (must_contain - 1)
-    walk = _nb_walk(H, eta, max_size=size, need=want, avoid=skip)
+    walk = _nb_walk(H, eta, max_size=size, need=want, avoid=EdgeSubset(m, avoid).mask)
     return (
         EdgeSubset.from_mask(m, mask)
         for mask, count, _comps, _blocks in walk

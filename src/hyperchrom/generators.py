@@ -3,10 +3,12 @@
 The exhaustive iterators drive the oracle-equivalence and inequality
 sweeps; they enumerate every valid edge set (an antichain of vertex
 sets, each of size >= 2) within the stated limits, including edge sets
-leaving vertices isolated.  The random r-uniform families are rejection
-samplers with one fixed retry budget that fall back to one greedy pass
-over the shuffled r-subsets when every try fails; identical seeds give
-identical instances.  Seeds, like every count and size, must be integers:
+leaving vertices isolated, through one depth-first chooser,
+``_edge_sets``, and refuse bad arguments when called, not when iterated.
+The random r-uniform families are rejection samplers with one fixed
+retry budget that fall back to one greedy pass over the shuffled
+r-subsets when every try fails; identical seeds give identical
+instances.  Seeds, like every count and size, must be integers:
 a seed of None would draw a fresh instance on each call.
 """
 
@@ -42,41 +44,24 @@ _FIG1_EDGES = {
 }
 
 
-def _candidate_edges(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(2, n + 1):
-        out.extend(combinations(range(1, n + 1), size))
-    return out
+def _edge_sets(n: int, edges: list[tuple[int, ...]], low: int, high: int, clash) -> Iterator[Hypergraph]:
+    """Every set of low..high candidate edges, no two clashing, as a hypergraph on 1..n.
 
-
-def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
-    """Every hypergraph on vertex set 1..n with at most m_max edges.
-
-    Edges are vertex sets of size >= 2 forming an antichain (no edge
-    inside another); the edgeless hypergraph is included.  Enumeration
-    order is deterministic: edges in (size, lex) order, subsets by
-    increasing first margin.
+    ``clash(a, b)`` takes two edges as vertex masks (vertex v -> bit v-1);
+    None lets any two edges share a set.  The sets are walked depth first,
+    each before its extensions, adding candidates in list order, so the
+    index tuples come out in lexicographic order.
     """
-    n, m_max = require_int(n, "n", 0), require_int(m_max, "m_max", 0)
-    cands = _candidate_edges(n)
-    masks = [sum(1 << (v - 1) for v in e) for e in cands]
-    total = len(cands)
+    masks = [sum(1 << (v - 1) for v in e) for e in edges]
     chosen: list[int] = []
 
     def rec(start: int) -> Iterator[Hypergraph]:
-        yield Hypergraph(n, [cands[i] for i in chosen])
-        if len(chosen) >= m_max:
+        if len(chosen) >= low:
+            yield Hypergraph(n, [edges[i] for i in chosen])
+        if len(chosen) == high:
             return
-        for i in range(start, total):
-            mi = masks[i]
-            ok = True
-            for j in chosen:
-                mj = masks[j]
-                inter = mi & mj
-                if inter == mi or inter == mj:
-                    ok = False
-                    break
-            if ok:
+        for i in range(start, len(edges)):
+            if clash is None or not any(clash(masks[i], masks[j]) for j in chosen):
                 chosen.append(i)
                 yield from rec(i + 1)
                 chosen.pop()
@@ -84,7 +69,21 @@ def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
     return rec(0)
 
 
-def _check_uniform(n: int, r: int) -> tuple[int, int]:
+def iter_edge_antichains(n: int, m_max: int) -> Iterator[Hypergraph]:
+    """Every hypergraph on vertex set 1..n with at most m_max edges.
+
+    Edges are vertex sets of size >= 2 forming an antichain (no edge
+    inside another); the edgeless hypergraph is included.  Enumeration
+    order is deterministic: edges in (size, lex) order, each edge set
+    before its extensions, edge sets sharing a prefix in the order of
+    their next edge.
+    """
+    n, m_max = require_int(n, "n", 0), require_int(m_max, "m_max", 0)
+    edges = [e for size in range(2, n + 1) for e in combinations(range(1, n + 1), size)]
+    return _edge_sets(n, edges, 0, m_max, lambda a, b: a & b in (a, b))  # one inside the other
+
+
+def _uniform_args(n: int, r: int) -> tuple[int, int]:
     """(n, r) as ints, refusing an r below 2 and an n below r."""
     n, r = require_int(n, "n"), require_int(r, "r", 2)
     if n < r:
@@ -92,31 +91,17 @@ def _check_uniform(n: int, r: int) -> tuple[int, int]:
     return n, r
 
 
-def iter_r_uniform(
-    n: int, r: int, m: int, linear_only: bool = False
-) -> Iterator[Hypergraph]:
-    """Every r-uniform hypergraph on 1..n with exactly m edges.
+def iter_r_uniform(n: int, r: int, m: int, linear_only: bool = False) -> Iterator[Hypergraph]:
+    """Every r-uniform hypergraph on 1..n with exactly m edges, edge sets in
+    lexicographic order of the r-subsets.
 
     With linear_only, restricts to edge sets whose pairwise
     intersections have at most one vertex.
     """
-    (n, r), m = _check_uniform(n, r), require_int(m, "m", 0)
-    cands = list(combinations(range(1, n + 1), r))
-    sets = [frozenset(e) for e in cands]
-    chosen: list[int] = []
-
-    def rec(start: int) -> Iterator[Hypergraph]:
-        if len(chosen) == m:
-            yield Hypergraph(n, [cands[i] for i in chosen])
-            return
-        for i in range(start, len(cands)):
-            if linear_only and any(len(sets[i] & sets[j]) > 1 for j in chosen):
-                continue
-            chosen.append(i)
-            yield from rec(i + 1)
-            chosen.pop()
-
-    return rec(0)
+    (n, r), m = _uniform_args(n, r), require_int(m, "m", 0)
+    edges = list(combinations(range(1, n + 1), r))
+    two_shared = (lambda a, b: (a & b).bit_count() > 1) if linear_only else None
+    return _edge_sets(n, edges, m, m, two_shared)
 
 
 def random_antichain(n: int, m: int, rng: random.Random) -> Hypergraph:
@@ -226,7 +211,7 @@ def _random_uniform(n, m, r, seed, what, pair_ok, triple_bad=None) -> Hypergraph
 def random_linear_r_uniform(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
     """Random linear r-uniform instance (pairwise intersections <= 1); the
     seed must be an integer."""
-    n, r = _check_uniform(n, r)
+    n, r = _uniform_args(n, r)
     what = f"no linear {r}-uniform instance with n={n}, m={m}"
     return _random_uniform(n, m, r, seed, what, lambda e, f: len(e & f) <= 1)
 
@@ -234,7 +219,7 @@ def random_linear_r_uniform(n: int, m: int, r: int, seed: int = 0) -> Hypergraph
 def random_r_uniform_rho(n: int, m: int, r: int, rho_min: int, seed: int = 0) -> Hypergraph:
     """Random r-uniform instance with rho(H) >= rho_min (needs m >= 2); the
     seed must be an integer."""
-    (n, r), m = _check_uniform(n, r), require_int(m, "m")
+    (n, r), m = _uniform_args(n, r), require_int(m, "m")
     if m < 2:
         raise InputError(f"rho needs m >= 2, got {m}")
     rho_min = require_int(rho_min, "rho_min")
@@ -245,7 +230,7 @@ def random_r_uniform_rho(n: int, m: int, r: int, rho_min: int, seed: int = 0) ->
 
 def tight_path(n: int, r: int) -> Hypergraph:
     """Consecutive r-windows on 1..n; adjacent edges overlap in r-1 vertices."""
-    n, r = _check_uniform(n, r)
+    n, r = _uniform_args(n, r)
     edges = [tuple(range(i, i + r)) for i in range(1, n - r + 2)]
     return _finish(Hypergraph(n, edges))
 
@@ -262,7 +247,7 @@ def sunflower_free(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
     common core (three pairwise disjoint edges qualify, with empty
     core).  The seed must be an integer.
     """
-    n, r = _check_uniform(n, r)
+    n, r = _uniform_args(n, r)
     what = f"no sunflower-free {r}-uniform instance with n={n}, m={m}"
     return _random_uniform(n, m, r, seed, what, lambda e, f: True, _is_sunflower)
 

@@ -102,10 +102,10 @@ class ListAssignment:
 
     @classmethod
     def from_constant(cls, n: int, k: int) -> ListAssignment:
-        """The assignment giving every vertex the list {1, ..., k}."""
+        """The assignment giving every vertex the list {1, ..., k}; with no
+        vertices no list is built, whatever k is."""
         n, k = require_int(n, "vertex count", 0), require_int(k, "list size k", 1)
-        colors = tuple(range(1, k + 1))
-        return cls(k, {v: colors for v in range(1, n + 1)})
+        return cls(k, dict.fromkeys(range(1, n + 1), range(1, k + 1)))
 
     def universe(self) -> tuple[int, ...]:
         """Sorted union of all lists."""
@@ -115,9 +115,9 @@ class ListAssignment:
         return tuple(sorted(seen))
 
     def is_constant(self) -> bool:
-        """True when every vertex holds the same list {1, ..., k}."""
-        ident = tuple(range(1, self.k + 1))
-        return all(cs == ident for cs in self.lists.values())
+        """True when every vertex holds the same list {1, ..., k}: a list of k
+        distinct positive colors, sorted, is that list when it ends in k."""
+        return all(cs[-1] == self.k for cs in self.lists.values())
 
     def to_json(self) -> str:
         payload = {

@@ -175,14 +175,14 @@ def test_criterion_04_component_count_lemmas():
             for m in m_range:
                 for H in iter_r_uniform(n, r, m, linear_only=True):
                     linear_instances += 1
-                    _check_linear_component_bounds(H, r)
+                    _assert_linear_component_bounds(H, r)
     rng = random.Random(4)
     linear_random = 0
     for _ in range(60):
         n = rng.randint(13, 16)
         m = rng.randint(4, 5)
         H = random_linear_r_uniform(n, m, 4, seed=rng.randint(0, 10**6))
-        _check_linear_component_bounds(H, 4)
+        _assert_linear_component_bounds(H, 4)
         linear_random += 1
     print(
         f"\nACCEPTANCE 4 PASS: component-count bounds verified on"
@@ -192,7 +192,7 @@ def test_criterion_04_component_count_lemmas():
     )
 
 
-def _check_linear_component_bounds(H, r):
+def _assert_linear_component_bounds(H, r):
     n = H.n
     for A in nb_subsets(H):
         size = A.size
@@ -241,16 +241,12 @@ def test_criterion_05_lower_bounds_on_all_assignments():
                     if is_matching:
                         matchings_carved += 1
                     for k in (1, 2, 3):
-                        res = scan_assignments_one_extra_color(
-                            H,
-                            k,
-                            check_uniform=not is_matching,
-                            check_linear=is_linear(H),
-                        )
+                        res = scan_assignments_one_extra_color(H, k)
                         patterns += res["checked"]
                         assert res["viol_prop"] == 0
-                        assert res["viol_uniform"] == 0
-                        assert res["viol_linear"] == 0
+                        # each corollary only where its hypotheses hold
+                        assert is_matching or res["viol_uniform"] == 0
+                        assert not is_linear(H) or res["viol_linear"] == 0
     # the only matchings in the box: disjoint triple pairs on 6 vertices
     assert matchings_carved == 10
 
@@ -266,13 +262,11 @@ def test_criterion_05_lower_bounds_on_all_assignments():
         H = Hypergraph(7, sorted(edges))
         assert rho(H) < r
         for k in (2, 3):
-            res = scan_assignments_one_extra_color(
-                H, k, check_linear=is_linear(H)
-            )
+            res = scan_assignments_one_extra_color(H, k)
             patterns += res["checked"]
             assert res["viol_prop"] == 0
             assert res["viol_uniform"] == 0
-            assert res["viol_linear"] == 0
+            assert not is_linear(H) or res["viol_linear"] == 0
         supplement += 1
     print(
         f"\nACCEPTANCE 5 PASS: lower bounds hold on every assignment with one"
@@ -288,12 +282,12 @@ def test_criterion_05_lower_bounds_on_all_assignments():
     reason="the normalized uniform bound is genuinely false for matchings",
 )
 def test_criterion_05_uniform_bound_as_stated():
-    res = scan_assignments_one_extra_color(MATCHING, 2, check_uniform=True)
+    res = scan_assignments_one_extra_color(MATCHING, 2)
     assert res["viol_uniform"] == 0
 
 
 def test_criterion_05_pinned_uniform_counterexample():
-    res = scan_assignments_one_extra_color(MATCHING, 2, check_uniform=True)
+    res = scan_assignments_one_extra_color(MATCHING, 2)
     assert res["checked"] == 720
     assert res["viol_uniform"] == 684
     assert res["viol_prop"] == 0

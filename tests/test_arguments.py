@@ -38,7 +38,9 @@ from hyperchrom import (
     cor_linear_rhs_exact,
     cor_uniform_rhs,
     cor_uniform_rhs_exact,
+    is_delta_cycle,
     list_color_function_search,
+    nb_subsets,
     phi1_M,
     phi2_M,
     phi_Mkt,
@@ -207,6 +209,11 @@ def test_numpy_integers_answer():
         lambda: list(iter_r_uniform(5, 3, -1)),
         # a fresh instance on every call
         lambda: sunflower_free(12, 4, 3, None),
+        # raw AttributeErrors: an int taken for a mapping, a label for a subset
+        lambda: IntPolynomial(-1),
+        lambda: is_delta_cycle(E2, [1.5]),
+        # a raw TypeError from int([1])
+        lambda: IntPolynomial({1: [1]}),
     ],
     ids=[
         "phi_Mkt-nan",
@@ -231,6 +238,9 @@ def test_numpy_integers_answer():
         "fig1-True",
         "iter_r_uniform-negative",
         "sunflower_free-None",
+        "IntPolynomial-int",
+        "is_delta_cycle-float-label",
+        "IntPolynomial-list-coefficient",
     ],
 )
 def test_repro_refused(call):
@@ -249,6 +259,10 @@ def test_repro_refused(call):
         (lambda: random_r_uniform_rho(5, 1, 3, 2), "^rho needs m >= 2, got 1$"),
         (lambda: x1(0.3), "^c must be > 1/3, got 0.3$"),
         (lambda: IntPolynomial({-1: 1}), "^negative exponent -1$"),
+        (lambda: IntPolynomial({1.5: 1}), r"^exponent must be an integer, got 1\.5$"),
+        (lambda: IntPolynomial([(1, 1)]), "^coefficients must map exponents to integers"),
+        (lambda: list(nb_subsets(E2, size=-1)), "^size must be >= 0, got -1$"),
+        (lambda: list(nb_subsets(E2, avoid=[3])), r"^edge label 3 outside 1\.\.2$"),
     ],
     ids=[
         "from_mask-wide",
@@ -259,6 +273,10 @@ def test_repro_refused(call):
         "random_r_uniform_rho-m-1",
         "x1-small-c",
         "IntPolynomial-negative",
+        "IntPolynomial-float-exponent",
+        "IntPolynomial-pairs",
+        "nb_subsets-negative-size",
+        "nb_subsets-avoid-3",
     ],
 )
 def test_refused_with_message(call, message):

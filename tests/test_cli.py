@@ -458,6 +458,17 @@ class TestInProcess:
         P = chromatic_polynomial(H).eval(2)
         assert json.loads(out)[0]["details"] == {"P": P, "P_l": P, "exact_equal": True}
 
+    @pytest.mark.parametrize("route", [(), ("--heuristic",)])
+    def test_plk_no_vertices_with_a_huge_k(self, capsys, tmp_path, route):
+        path = tmp_path / "empty.json"
+        path.write_text(Hypergraph(0, []).to_json())
+        k = "100000000000000000000"
+        rc, out, err = self.run(capsys, "plk", str(path), "--k", k, *route, "--json")
+        assert (rc, err) == (0, "")
+        record = json.loads(out)
+        assert record["P"] == record.get("P_l", record.get("P_l_upper")) == 1
+        assert record["witness"] == {"k": 10**20, "lists": {}}
+
     def test_plk_heuristic_without_iterations(self, capsys, files):
         argv = ("plk", files["e2.json"], "--k", "3", "--heuristic", "--iterations")
         rc, out, _ = self.run(capsys, *argv, "0", "--json")

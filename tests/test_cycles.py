@@ -91,6 +91,14 @@ class TestIsDeltaCycle:
         assert not is_delta_cycle(h2, h2.full_subset())
         assert not is_delta_cycle(h3, h3.full_subset())
 
+    def test_labels_answer_as_the_subset(self, f1, tri):
+        for H in (f1, tri):
+            for mask in range(1 << H.m):
+                F = EdgeSubset.from_mask(H.m, mask)
+                assert is_delta_cycle(H, list(F.labels)) == is_delta_cycle(H, F), (H, F)
+        assert is_delta_cycle(tri, (3, 1, 2))
+        assert not is_delta_cycle(tri, [])
+
     def test_every_subset_against_sweep(self, f1):
         k4 = Hypergraph(4, list(itertools.combinations(range(1, 5), 2)))
         for H in (f1, k4):

@@ -37,6 +37,14 @@ class TestListAssignment:
         assert L.universe() == (1, 2, 3)
         assert not L.is_constant()
 
+    def test_is_constant_reads_the_last_color(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            k = rng.randint(1, 3)
+            L = random_assignment(rng.randint(0, 4), k, rng.randint(k, k + 2), rng)
+            want = all(cs == tuple(range(1, k + 1)) for cs in L.lists.values())
+            assert L.is_constant() == want, L.lists
+
     def test_from_constant(self):
         L = ListAssignment.from_constant(3, 2)
         assert L.is_constant()
@@ -385,6 +393,16 @@ class TestListColorFunction:
             1,
             ListAssignment.from_constant(0, 2),
         )
+
+    def test_no_vertices_with_a_huge_k(self):
+        # no list is built when no vertex exists, so k may pass any machine size
+        k = 10**20
+        L = ListAssignment.from_constant(0, k)
+        assert (L.k, L.lists) == (k, {})
+        assert L.is_constant()
+        empty = Hypergraph(0, [])
+        assert list_color_function_exact(empty, k) == (1, L)
+        assert list_color_function_search(empty, k) == (1, L)
 
     def test_search_refuses_invalid_instance_without_vertices(self):
         with pytest.raises(InputError, match="invalid hypergraph"):
