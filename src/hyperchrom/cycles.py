@@ -269,11 +269,11 @@ def nb_subsets(
     Optional filters restrict the stream to subsets containing the edge with
     label ``must_contain``, to subsets of exactly ``size`` >= 0 edges, and to
     subsets holding none of the edges labelled in ``avoid``, whose labels
-    pass the one label gate, ``EdgeSubset``.  Because
-    broken-freeness is hereditary, the walk only ever extends broken-free
-    subsets; with ``must_contain`` it leaves a branch once it has passed
-    that edge without taking it, and the ``avoid`` edges start out blocked,
-    so no branch takes them.  Pruning is exact, not heuristic: the stream
+    pass the one label gate, ``EdgeSubset``.  Because broken-freeness is
+    hereditary, the walk only ever extends broken-free subsets; with
+    ``must_contain`` it leaves a branch once it has passed that edge
+    without taking it, and the ``avoid`` edges start out blocked, so no
+    branch takes them.  Pruning is exact, not heuristic: the stream
     is the full stream filtered, in the same order.  The broken sets come
     from H's own catalog, ``enumerate_delta_cycles(H)``.
     """
