@@ -23,10 +23,36 @@ from hyperchrom import (
     list_color_function_exact,
     list_color_function_search,
 )
-from hyperchrom import _kernels, listcolor
+from hyperchrom import _kernels, chromatic, listcolor
 from hyperchrom.generators import random_antichain, random_assignment
 
 L1 = ListAssignment(2, {1: [1, 2], 2: [1, 2], 3: [2, 3]})
+
+
+def _reference_search(H, k, iterations, seed):
+    """The local search as a ListAssignment + count_L_colorings loop: its
+    value, its witness and every assignment it counted, as tuples of lists."""
+    rng = random.Random(seed)
+    universe = list(range(1, 2 * k + 1))
+    current = ListAssignment.from_constant(H.n, k)
+    counted = [tuple(current.lists.values())]
+    cur_val = count_L_colorings(H, current)
+    best_val, best = cur_val, current
+    for _ in range(iterations):
+        if best_val == 0:
+            break
+        v = rng.randrange(1, H.n + 1)
+        old = current.lists[v]
+        out = rng.choice(old)
+        pool = [c for c in universe if c not in old]
+        cand = ListAssignment(k, {**current.lists, v: set(old) - {out} | {rng.choice(pool)}})
+        counted.append(tuple(cand.lists[u] for u in range(1, H.n + 1)))
+        cand_val = count_L_colorings(H, cand)
+        if cand_val <= cur_val:
+            current, cur_val = cand, cand_val
+            if cand_val < best_val:
+                best_val, best = cand_val, cand
+    return best_val, best, counted
 
 
 class TestListAssignment:
@@ -372,15 +398,48 @@ class TestListColorFunction:
         H = Hypergraph(3, [(1, 2)])
         lists3 = []
 
-        def counted(H, L):
-            lists3.append(L.lists[3])
-            return count_L_colorings(H, L)
+        def counted(H, lists):
+            lists3.append(tuple(lists[2]))
+            return chromatic._count_colorings(H, lists)
 
-        monkeypatch.setattr(listcolor, "count_L_colorings", counted)
+        monkeypatch.setattr(listcolor, "_count_colorings", counted)
         value, witness = list_color_function_search(H, 2, seed=1)
         assert (value, witness) == (4, ListAssignment.from_constant(3, 2))
         # two swaps from {1, 2}: only a candidate built on an accepted move
         assert (3, 4) in lists3
+
+    def test_search_walk_is_pinned(self, monkeypatch):
+        # the value, the witness and every assignment counted, in order, equal
+        # those of the search as a ListAssignment + count_L_colorings loop;
+        # isolated vertices make equal-count moves, which are accepted
+        rng = random.Random(33)
+        cases = []
+        for n, m in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3)):
+            H = random_antichain(n, m, rng)
+            pad = rng.randint(1, 2)
+            cases.append(Hypergraph(n + pad, H.edges))
+        cases.append(Hypergraph(3, []))
+        refs = [
+            (H, k, seed, _reference_search(H, k, 60, seed))
+            for H in cases
+            for k in (1, 2, 3)
+            for seed in (0, 1, 5)
+        ]
+        seen = []
+
+        def spy(H, lists):
+            seen.append(tuple(map(tuple, lists)))
+            return chromatic._count_colorings(H, lists)
+
+        monkeypatch.setattr(listcolor, "_count_colorings", spy)
+        moved = False
+        for H, k, seed, (value, witness, counted) in refs:
+            seen.clear()
+            assert list_color_function_search(H, k, iterations=60, seed=seed) == (value, witness)
+            assert seen == counted, (H.edges, H.n, k, seed)
+            constant = tuple(range(1, k + 1))
+            moved |= any(sum(cs != constant for cs in lists) > 1 for lists in counted)
+        assert moved  # some candidate was built on an accepted move
 
     def test_search_rejects_bad_arguments(self, e1):
         with pytest.raises(InputError):
