@@ -517,10 +517,16 @@ def list_color_function_search(
 
     Colors live in a universe of size 2k, which is enough to realize any
     intersection pattern on a single edge.  Starting from the constant
-    assignment, each step swaps one color of one vertex's list and keeps
-    the move when the count does not increase.  Deterministic for a
-    fixed seed, which must be an integer; returns the best count found
-    and its assignment.
+    assignment, each step swaps one color of one vertex's list, the new
+    color drawn from those the list lacks, and keeps the move when the
+    count does not increase.  So one running count is both the current
+    and the best one; the witness is the first assignment that reached
+    it.  Deterministic for a fixed seed, which must be an integer.
+
+    The arguments, k^n against the brute_force cap and H are checked once,
+    on entry.  The steps hold the lists as plain color tuples and count
+    each candidate with ``chromatic._count_colorings``, the kernel under
+    ``count_L_colorings``; only the witness is built as a ``ListAssignment``.
 
     The search can stay at P(H, k): when every single swap from the
     constant assignment raises the count, it never moves.  On K_{2,4} at
@@ -533,27 +539,24 @@ def list_color_function_search(
     if n > 0:
         budget.check_cap("brute_force", k**n, "list-coloring enumeration")
     require_valid(H)
-    current = ListAssignment.from_constant(n, k)
     if n == 0:
-        return 1, current
+        return 1, ListAssignment.from_constant(n, k)
     rng = random.Random(seed)
-    universe = list(range(1, 2 * k + 1))
-    cur_val = count_L_colorings(H, current)
-    best_val, best = cur_val, current
+    universe = range(1, 2 * k + 1)
+    lists = [tuple(range(1, k + 1))] * n
+    value, best = _count_colorings(H, lists), lists.copy()
     for _ in range(iterations):
-        if best_val == 0:
+        if value == 0:
             break
-        v = rng.randrange(1, n + 1)
-        old = current.lists[v]
-        out = rng.choice(old)
-        pool = [c for c in universe if c not in old]
-        new_list = tuple(sorted(set(old) - {out} | {rng.choice(pool)}))
-        cand = ListAssignment(
-            k, {**{u: cs for u, cs in current.lists.items()}, v: new_list}
-        )
-        cand_val = count_L_colorings(H, cand)
-        if cand_val <= cur_val:
-            current, cur_val = cand, cand_val
-            if cand_val < best_val:
-                best_val, best = cand_val, cand
-    return best_val, best
+        v = rng.randrange(n)
+        old = lists[v]
+        out, held = rng.choice(old), set(old)
+        held.add(rng.choice([c for c in universe if c not in held]))
+        held.remove(out)
+        lists[v] = tuple(sorted(held))
+        count = _count_colorings(H, lists)
+        if count > value:
+            lists[v] = old
+        elif count < value:
+            value, best = count, lists.copy()
+    return value, ListAssignment(k, dict(enumerate(best, 1)))
