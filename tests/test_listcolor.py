@@ -441,6 +441,21 @@ class TestListColorFunction:
             moved |= any(sum(cs != constant for cs in lists) > 1 for lists in counted)
         assert moved  # some candidate was built on an accepted move
 
+    def test_search_counts_without_count_L_colorings(self, monkeypatch, f1):
+        def refused(H, L):
+            raise AssertionError("count_L_colorings called")
+
+        monkeypatch.setattr(listcolor, "count_L_colorings", refused)
+        assert list_color_function_search(f1, 2) == (18, ListAssignment.from_constant(6, 2))
+
+    def test_search_step_is_linear_in_k(self):
+        # a step draws its new color against a set of the old list, not a
+        # scan of the k-tuple per color of the 2k-color universe
+        start = time.process_time()
+        found = list_color_function_search(Hypergraph(1, []), 20_000, iterations=1)
+        assert time.process_time() - start < 1.0
+        assert found == (20_000, ListAssignment.from_constant(1, 20_000))
+
     def test_search_rejects_bad_arguments(self, e1):
         with pytest.raises(InputError):
             list_color_function_search(e1, 0)
