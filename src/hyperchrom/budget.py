@@ -85,15 +85,22 @@ def get_cap(name: str) -> int:
 
 
 def check_cap(name: str, required: int, what: str) -> None:
-    """Refuse with a required-budget report when ``required`` exceeds the cap."""
+    """Refuse with a required-budget report when ``required`` exceeds the cap.
+
+    A ``required`` of 2^63 or more is written as ``2^b or more``, since
+    CPython writes no int of over 4,300 digits; the error keeps it exact.
+    Such a request needs more than 2^63 colorings too, past any accepted
+    brute_force cap, so it gets no rerun hint whatever the cap.
+    """
     cap = get_cap(name)
     if required > cap:
-        if name == "brute_force" and required >= 2**63:
+        if required >= 2**63:
+            shown = f"2^{required.bit_length() - 1} or more"
             hint = "past the int64 limit 2^63, which no cap can raise"
         else:
-            hint = f"rerun with HYPERCHROM_BUDGET={name}={required}"
+            shown, hint = required, f"rerun with HYPERCHROM_BUDGET={name}={required}"
         raise BudgetExceededError(
-            f"{what} needs {required} but cap {name}={cap}; {hint}",
+            f"{what} needs {shown} but cap {name}={cap}; {hint}",
             cap_name=name,
             cap_value=cap,
             required=required,

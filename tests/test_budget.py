@@ -2,7 +2,17 @@
 
 import pytest
 
-from hyperchrom import BudgetExceededError, InputError, budget
+from hyperchrom import (
+    BudgetExceededError,
+    Hypergraph,
+    InputError,
+    ListAssignment,
+    budget,
+    count_L_colorings,
+    count_proper_colorings,
+    list_color_function_search,
+)
+from hyperchrom.bounds import scan_assignments_one_extra_color
 
 
 class TestOverride:
@@ -59,3 +69,41 @@ class TestRefusalHint:
             budget.check_cap("brute_force", 63**11, "assignment scan")
         assert "rerun" not in str(info.value)
         assert info.value.required == 63**11
+
+    def test_message_below_int64_is_unchanged(self, monkeypatch):
+        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError) as info:
+            budget.check_cap("brute_force", 2**63 - 1, "count")
+        assert str(info.value) == (
+            f"count needs {2**63 - 1} but cap brute_force=100000000; "
+            f"rerun with HYPERCHROM_BUDGET=brute_force={2**63 - 1}"
+        )
+
+    def test_int64_hint_for_every_cap(self, monkeypatch):
+        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError) as info:
+            budget.check_cap("exact_plk", 2**63, "exact list-color function")
+        assert str(info.value) == (
+            "exact list-color function needs 2^63 or more but cap exact_plk=12; "
+            "past the int64 limit 2^63, which no cap can raise"
+        )
+
+    @pytest.mark.parametrize(
+        "call, required",
+        [
+            (lambda H: count_proper_colorings(H, 2), 2**20_000),
+            (lambda H: count_L_colorings(H, ListAssignment.from_constant(H.n, 2)), 2**20_000),
+            (lambda H: list_color_function_search(H, 2), 2**20_000),
+            (lambda H: scan_assignments_one_extra_color(H, 2), 3**20_000),
+        ],
+        ids=["count_proper_colorings", "count_L_colorings", "search", "scan"],
+    )
+    def test_refusal_past_the_int_str_limit(self, monkeypatch, call, required):
+        # CPython writes no int of over 4,300 digits, so the message gives the
+        # bit length; the error still carries the exact requirement
+        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError) as info:
+            call(Hypergraph(20_000, [(1, 2, 3)]))
+        assert info.value.required == required
+        assert f"needs 2^{required.bit_length() - 1} or more but cap brute_force=" in str(info.value)
+        assert "rerun" not in str(info.value)

@@ -506,6 +506,18 @@ class TestInProcess:
             "rerun with HYPERCHROM_BUDGET=brute_force=243\n",
         )
 
+    def test_plk_heuristic_refuses_past_the_int_str_limit(self, capsys, tmp_path):
+        # k^n = 2^20000 has over 4,300 digits, which CPython will not write;
+        # the refusal names its bit length in one stderr line
+        path = tmp_path / "wide.json"
+        path.write_text(Hypergraph(20_000, [(1, 2, 3)]).to_json())
+        assert self.run(capsys, "plk", str(path), "--k", "2", "--heuristic") == (
+            3,
+            "",
+            "budget refused: list-coloring enumeration needs 2^20000 or more but cap "
+            "brute_force=100000000; past the int64 limit 2^63, which no cap can raise\n",
+        )
+
     def test_plk_p_is_the_polynomial_at_k(self, capsys, tmp_path):
         # plk counts P(H, k) by brute force; the polynomial is an independent route
         rng = random.Random(29)
