@@ -115,6 +115,12 @@ def _csv_cell(value) -> str:
 
 def reports_to_csv(reports: Iterable[BoundReport]) -> str:
     """Render reports as CSV with columns name,m,r,rho,k,lhs,rhs,verdict."""
+    try:
+        reports = list(reports)
+    except TypeError:
+        reports = None
+    if reports is None or not all(isinstance(rep, BoundReport) for rep in reports):
+        raise InputError("reports must be an iterable of BoundReport")
     lines = [_CSV_HEADER]
     for rep in reports:
         cells = [rep.name]

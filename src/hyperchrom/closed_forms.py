@@ -247,6 +247,9 @@ def psi_identity_relerr(M, t) -> float:
     """Relative error of psi(M,t) = 2 k0^(t-1) phi(M,k0,t) (t ln M)^(t-1)
     at k0 = 2.4M/(t ln M); algebraically zero, numerically tiny."""
     M, t = require_real(M, "M", 2), require_real(t, "t", 2)
+    for name, value in (("M", M), ("t", t)):
+        if value == math.inf:  # the identity holds at finite points only
+            raise InputError(f"{name} must be finite, got {value}")
     with mp.workdps(40):
         Mm, tt = mpf(M), mpf(t)
         lhs = _psi(Mm, tt, mpf, mp.log)

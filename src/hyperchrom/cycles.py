@@ -83,7 +83,7 @@ class DeltaCycleCatalog:
 
     def __init__(self, H: Hypergraph, cycle_masks: Iterable[int]):
         self.H = H
-        masks = sorted(set(cycle_masks), key=_size_then_mask)
+        masks = sorted(set(require_ints(cycle_masks, "cycle masks")), key=_size_then_mask)
         self.cycles = tuple(EdgeSubset.from_mask(H.m, mk) for mk in masks)
 
     def __len__(self) -> int:

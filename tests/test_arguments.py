@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from hyperchrom import (
+    DeltaCycleCatalog,
     EdgeSubset,
     Hypergraph,
     InputError,
@@ -49,6 +50,7 @@ from hyperchrom import (
     psi_identity_relerr,
     psi_Mt,
     psi_x_thm3,
+    reports_to_csv,
     scan_assignments_one_extra_color,
     theorem_certify,
     threshold_thm1,
@@ -214,6 +216,14 @@ def test_numpy_integers_answer():
         lambda: is_delta_cycle(E2, [1.5]),
         # a raw TypeError from int([1])
         lambda: IntPolynomial({1: [1]}),
+        # a raw ZeroDivisionError from mpmath, and a nan
+        lambda: psi_identity_relerr(10, math.inf),
+        lambda: psi_identity_relerr(math.inf, 3),
+        # a raw TypeError, then a raw AttributeError
+        lambda: reports_to_csv(None),
+        lambda: reports_to_csv([1]),
+        # a raw TypeError from set(2)
+        lambda: DeltaCycleCatalog(E2, 2),
     ],
     ids=[
         "phi_Mkt-nan",
@@ -241,6 +251,11 @@ def test_numpy_integers_answer():
         "IntPolynomial-int",
         "is_delta_cycle-float-label",
         "IntPolynomial-list-coefficient",
+        "psi_identity_relerr-inf-t",
+        "psi_identity_relerr-inf-M",
+        "reports_to_csv-None",
+        "reports_to_csv-int",
+        "DeltaCycleCatalog-int",
     ],
 )
 def test_repro_refused(call):
