@@ -8,8 +8,9 @@ edge ordering used to break cycles, which the tests exercise directly.
 
 Counting colorings by brute force lives here too; it is the oracle the
 expansion is checked against.  One pure-Python kernel, ``_count_colorings``,
-counts on bit-sliced ints and serves both ``count_proper_colorings`` and
-``listcolor.count_L_colorings``, so neither loads numpy.
+counts on bit-sliced ints and serves ``count_proper_colorings``,
+``listcolor.count_L_colorings`` and the heuristic list-color search, so
+none of them loads numpy.
 """
 
 from __future__ import annotations

@@ -70,15 +70,6 @@ class TestRefusalHint:
         assert "rerun" not in str(info.value)
         assert info.value.required == 63**11
 
-    def test_message_below_int64_is_unchanged(self, monkeypatch):
-        monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
-        with pytest.raises(BudgetExceededError) as info:
-            budget.check_cap("brute_force", 2**63 - 1, "count")
-        assert str(info.value) == (
-            f"count needs {2**63 - 1} but cap brute_force=100000000; "
-            f"rerun with HYPERCHROM_BUDGET=brute_force={2**63 - 1}"
-        )
-
     def test_int64_hint_for_every_cap(self, monkeypatch):
         monkeypatch.delenv("HYPERCHROM_BUDGET", raising=False)
         with pytest.raises(BudgetExceededError) as info:
